@@ -142,5 +142,70 @@ TEST(GoldenStats, EveryPointBitIdenticalToCapturedBaseline)
     }
 }
 
+struct OccupiedPoint {
+    const char *workload;
+    int scale;
+    const char *scheme;
+    int sms;
+    bool gto;
+    /** 128 resident warps: sm.max-warps 128 with the block, register
+     *  and shared-memory limits doubled so 32 four-warp blocks fit. */
+    bool wide;
+    std::uint64_t cycles;
+    std::uint64_t instructions;
+    std::uint64_t statsDigest;
+};
+
+// Regimes the warp-mask fetch/issue scans change, captured on the
+// per-warp-scan code they replaced: fully occupied SMs (64 warps) that
+// queue behind the LSU under replay-queue, operand-log and wd-commit,
+// the greedy-then-oldest visit order, and 128 resident warps per SM
+// (multi-word masks).
+const OccupiedPoint kOccupied[] = {
+    {"sad", 2, "replay-queue", 16, false, false,
+     61756ull, 110592ull, 0x8a6765ba058cd8a7ull},
+    {"sad", 2, "operand-log", 16, false, false,
+     60729ull, 110592ull, 0x418f886ee5d92a52ull},
+    {"sad", 2, "wd-commit", 16, false, false,
+     64068ull, 110592ull, 0x9d2da9d3ab5de3f5ull},
+    {"sad", 1, "replay-queue", 16, true, false,
+     32942ull, 55296ull, 0xa78bdec77d5d27a7ull},
+    {"sad", 2, "operand-log", 8, false, true,
+     116010ull, 110592ull, 0xc7001df1dbaa1530ull},
+};
+
+TEST(GoldenStats, OccupiedAndWideSmsBitIdenticalToCapturedBaseline)
+{
+    harness::TraceCache cache;
+    for (int smThreads : {1, 4, 8}) {
+        for (const OccupiedPoint &pt : kOccupied) {
+            SCOPED_TRACE(std::string(pt.workload) + "x" +
+                         std::to_string(pt.scale) + "/" + pt.scheme +
+                         "/sms=" + std::to_string(pt.sms) +
+                         (pt.gto ? "/gto" : "") + (pt.wide ? "/wide" : "") +
+                         "/smThreads=" + std::to_string(smThreads));
+            const harness::TracedWorkload &tw =
+                cache.get(pt.workload, pt.scale);
+            gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+            cfg.scheme = gpu::schemeFromName(pt.scheme);
+            cfg.numSms = pt.sms;
+            if (pt.gto)
+                cfg.sm.schedPolicy = gpu::SchedPolicy::GreedyThenOldest;
+            if (pt.wide) {
+                cfg.sm.maxWarps = 128;
+                cfg.sm.maxThreadBlocks = 32;
+                cfg.sm.registerFileBytes *= 2;
+                cfg.sm.sharedMemBytes *= 2;
+            }
+            cfg.smThreads = smThreads;
+            gpu::Gpu g(cfg);
+            gpu::SimResult r = g.run(tw.kernel, tw.trace);
+            EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
+            EXPECT_EQ(r.instructions, pt.instructions);
+            EXPECT_EQ(digestStats(r), pt.statsDigest);
+        }
+    }
+}
+
 } // namespace
 } // namespace gex
