@@ -8,6 +8,8 @@
 #include "isa/program.hpp"
 #include "sm/exception_model.hpp"
 #include "sm/pipeline.hpp"
+#include "sm/stages/decode.hpp"
+#include "sm/stages/operand_collect.hpp"
 #include "trace/trace.hpp"
 #include "vm/fill_unit.hpp"
 #include "vm/tlb.hpp"
@@ -421,9 +423,9 @@ SimSanitizer::onBlockInstalled(int sm, int slot, std::uint32_t blockId,
 }
 
 void
-SimSanitizer::onDrainEnd(int sm)
+SimSanitizer::onDrainEnd(const sm::PipelineState &st, Cycle now)
 {
-    SmShadow &s = sms_[static_cast<std::size_t>(sm)];
+    SmShadow &s = sms_[static_cast<std::size_t>(st.smId)];
     for (const PendingInstall &pi : s.installs) {
         SlotShadow &sl = s.slots[static_cast<std::size_t>(pi.slot)];
         sl.blockId = pi.blockId;
@@ -439,6 +441,53 @@ SimSanitizer::onDrainEnd(int sm)
         }
     }
     s.installs.clear();
+    checkWarpMasks(st, now);
+}
+
+void
+SimSanitizer::checkWarpMasks(const sm::PipelineState &st, Cycle now) const
+{
+    const int n = static_cast<int>(st.warps.size());
+    auto any = [&](int wi) {
+        return st.fetchBlocked.word(wi) | st.sbStalled.word(wi) |
+               st.lsuWaiting.word(wi) | st.issueIdle.word(wi);
+    };
+    for (int w = WarpBitset::findNextIn(0, n, any); w < n;
+         w = WarpBitset::findNextIn(w + 1, n, any)) {
+        const sm::WarpRt &wr = st.warps[static_cast<std::size_t>(w)];
+        const bool sched = wr.schedulable();
+        const bool ready = sched && !wr.ibuf.empty() &&
+                           wr.ibuf.front().readyAt <= now;
+        const char *stale = nullptr;
+        if (st.issueIdle.test(w) && sched && !wr.ibuf.empty())
+            stale = "issueIdle";
+        else if (st.sbStalled.test(w) &&
+                 !(ready && wr.ibuf.front().idx == wr.sbStallIdx &&
+                   st.sb.gen(w) == wr.sbStallGen))
+            stale = "sbStalled";
+        else if (st.fetchBlocked.test(w) && sched &&
+                 static_cast<int>(wr.ibuf.size()) <
+                     st.cfg.sm.instBufferDepth &&
+                 wr.controlPending == 0 && !wr.wdFetchDisable &&
+                 !(wr.replayQ.empty() &&
+                   wr.fetchIdx >= wr.tr->insts.size()))
+            stale = "fetchBlocked";
+        else if (st.lsuWaiting.test(w)) {
+            bool holds = ready;
+            if (holds) {
+                const isa::Instruction &si = sm::decodeInst(
+                    st, wr.tr->insts[wr.ibuf.front().idx]);
+                holds = si.isGlobalMem() && sm::operandsReady(st.sb, w, si);
+            }
+            if (!holds)
+                stale = "lsuWaiting";
+        }
+        if (stale)
+            fail(strprintf("warp-mask coherence violation: %s bit set but "
+                           "its predicate does not hold",
+                           stale),
+                 now, st.smId, w);
+    }
 }
 
 void

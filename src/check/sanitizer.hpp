@@ -14,6 +14,8 @@
  *    never-into-the-past scheduling, exactly-once retirement of every
  *    traced instruction (the timing-side architectural oracle), and
  *    the TLB never caching a faulting translation;
+ *  - warp-mask coherence (checkWarpMasks): the fetch/issue scan
+ *    gates still describe the warps they let the scans pass over;
  *  - drain checkers (checkDrained/finishRun): leak detection over the
  *    in-flight pool, scoreboard, replay queues, operand log, MSHRs
  *    and TLB miss queues once the machine claims quiescence.
@@ -96,14 +98,25 @@ class SimSanitizer : public obs::PipelineObserver
     /** A thread block was installed into a slot (applied at drain). */
     void onBlockInstalled(int sm, int slot, std::uint32_t blockId,
                           int firstWarp, int numWarps);
-    /** End of the SM's drain phase: apply pending block installs. */
-    void onDrainEnd(int sm);
+    /** End of the SM's drain phase (serial): apply pending block
+     *  installs, then checkWarpMasks. */
+    void onDrainEnd(const sm::PipelineState &st, Cycle now);
     /**
      * The LSU saw a faulting translation for @p page; the invariant is
      * that no TLB level may have cached it (serial phase; throws).
      */
     void onFaultedTranslation(int sm, int warp, Addr page,
                               const vm::Tlb &l1tlb, Cycle now);
+    /**
+     * Warp-mask coherence: every set scan-gate bit (sm/pipeline.hpp)
+     * must still satisfy its class predicate — sbStalled: schedulable,
+     * ready head at sbStallIdx with the scoreboard at sbStallGen;
+     * lsuWaiting: schedulable, ready global-memory head whose operands
+     * are ready; issueIdle: unschedulable or empty ibuf; fetchBlocked:
+     * blocked for a state reason, not only on fetchResumeAt. Throws
+     * InvariantError on the first stale bit.
+     */
+    void checkWarpMasks(const sm::PipelineState &st, Cycle now) const;
     /** Raise the first violation deferred by the parallel phase. */
     void throwDeferred();
 

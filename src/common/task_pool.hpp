@@ -14,7 +14,9 @@
  *    descheduled worker.
  *  - Indices are claimed from a shared atomic counter (work stealing),
  *    not pre-chunked, so a stalled worker can only delay the indices
- *    it already claimed.
+ *    it already claimed. The counter is tagged with the dispatch's
+ *    epoch, so a worker that is slow to leave one dispatch can never
+ *    claim into the next.
  *  - Workers spin briefly on an epoch counter between dispatches
  *    (consecutive simulated cycles arrive within microseconds) and
  *    fall back to a condition variable when idle, so an idle pool
@@ -87,19 +89,22 @@ class TaskPool
                 fn(ctx, i);
             return;
         }
+        // Every claim of the previous dispatch completed before its
+        // run() returned, so the job slots and done_ are free to reuse.
         fn_ = fn;
         ctx_ = ctx;
-        n_ = n;
-        next_.store(0, std::memory_order_relaxed);
         done_.store(0, std::memory_order_relaxed);
+        const std::uint64_t e = epoch_.load(std::memory_order_relaxed) + 1;
+        pending_.store(e << 32 | static_cast<std::uint32_t>(n),
+                       std::memory_order_release);
         {
             // The lock pairs with the cv_ predicate check so a worker
             // moving to sleep cannot miss the epoch bump.
             std::lock_guard<std::mutex> lock(mu_);
-            epoch_.fetch_add(1, std::memory_order_release);
+            epoch_.store(e, std::memory_order_release);
         }
         cv_.notify_all();
-        drain();
+        drain(e);
         // Queue emptiness is not completion: a worker may hold a
         // claimed index. Wait for the count, yielding so an
         // oversubscribed worker can finish its claim.
@@ -108,15 +113,28 @@ class TaskPool
     }
 
   private:
+    /**
+     * Claim and run indices of dispatch @p epoch until none are left.
+     * A claim is a CAS on pending_, which packs the dispatch's epoch
+     * with its unclaimed count, so a worker still leaving an earlier
+     * dispatch can never take an index of a later one (the CAS fails
+     * once run() stored the new word) and every done_ increment
+     * belongs to the dispatch that counts it.
+     */
     void
-    drain()
+    drain(std::uint64_t epoch)
     {
+        std::uint64_t c = pending_.load(std::memory_order_acquire);
         for (;;) {
-            int i = next_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n_)
+            const std::uint32_t left = static_cast<std::uint32_t>(c);
+            if (c >> 32 != (epoch & 0xffffffffu) || left == 0)
                 return;
-            fn_(ctx_, i);
-            done_.fetch_add(1, std::memory_order_release);
+            if (pending_.compare_exchange_weak(c, c - 1,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+                fn_(ctx_, static_cast<int>(left) - 1);
+                done_.fetch_add(1, std::memory_order_release);
+            }
         }
     }
 
@@ -151,19 +169,19 @@ class TaskPool
             seen = epoch_.load(std::memory_order_acquire);
             if (stop_.load(std::memory_order_relaxed))
                 return;
-            drain();
+            drain(seen);
         }
     }
 
     static constexpr int kSpinsBeforeSleep = 1024;
 
-    // Job slots: written by run() before the epoch release-store,
-    // read by workers after their acquire-load of epoch_.
+    // Job slots: written by run() before the pending_ release-store,
+    // read by workers only after a successful claim of that dispatch.
     Fn fn_ = nullptr;
     void *ctx_ = nullptr;
-    int n_ = 0;
 
-    alignas(64) std::atomic<int> next_{0};
+    /** (epoch mod 2^32) << 32 | indices not yet claimed. */
+    alignas(64) std::atomic<std::uint64_t> pending_{0};
     alignas(64) std::atomic<int> done_{0};
     alignas(64) std::atomic<std::uint64_t> epoch_{0};
     std::atomic<bool> stop_{false};

@@ -20,8 +20,7 @@ PipelineState::PipelineState(int id, const gpu::GpuConfig &config,
 {
     sb.init(cfg.sm.maxWarps);
     warps.resize(static_cast<size_t>(cfg.sm.maxWarps));
-    fetchBlocked.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
-    issueStalled.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
+    GEX_ASSERT(cfg.sm.maxWarps <= WarpBitset::kMaxBits);
     replaysPerWarp.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
     // Pre-size the event heap from the config-derived in-flight bound:
     // each in-flight instruction carries at most three live events

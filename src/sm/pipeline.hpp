@@ -23,6 +23,7 @@
 
 #include "common/log.hpp"
 #include "common/ring.hpp"
+#include "common/warp_bitset.hpp"
 #include "func/kernel.hpp"
 #include "gpu/config.hpp"
 #include "obs/observer.hpp"
@@ -218,29 +219,29 @@ struct PipelineState {
     int activeWarps = 0;
     std::vector<WarpRt> warps;
     /**
-     * Fetch gate cache, one byte per warp: 1 means the last fetch scan
-     * found the warp blocked for a *state* reason (buffer full, pending
-     * control, fetch-disable, trace drained, unschedulable) — nothing
-     * time-based. Until some event mutates the warp (wakeWarp), a
-     * rescan would reproduce the same result, so the fetch stage skips
-     * the warp after one byte read instead of touching its WarpRt.
-     * Warps blocked only on fetchResumeAt are never marked (time
-     * unblocks them without an accompanying state change). Skipped
-     * scans have no side effects (no counters, no didWork), so this is
-     * invisible to simulation results.
+     * Scan gates (docs/PERFORMANCE.md, "Warp-mask scans"), one bit per
+     * warp. A set bit records that the last visit found the warp
+     * blocked for a reason only a state change can lift, and every
+     * such change runs through wakeWarp(), which clears all four bits
+     * of the warp. The fetch and issue scans therefore visit only the
+     * warps outside their masks; the issue scan accounts the
+     * passed-over sbStalled / lsuWaiting warps in bulk with exactly
+     * the stall increments a visit would have made.
+     *
+     * fetchBlocked: fetch found the warp blocked for a state reason
+     * (buffer full, pending control, fetch-disable, trace drained,
+     * unschedulable) — never a wait on fetchResumeAt alone.
      */
-    std::vector<std::uint8_t> fetchBlocked;
-    /**
-     * Issue gate cache, one byte per warp: 1 means the warp is
-     * schedulable, its ibuf head has passed its ready cycle, and that
-     * head already failed the scoreboard checks with no scoreboard
-     * change since. A rescan would fail the same way with exactly one
-     * stallScoreboard increment, so the issue scan performs just that
-     * increment off one byte read. Any event that could change the
-     * warp's schedulability, ibuf head, or scoreboard state clears the
-     * byte (wakeWarp) and the next scan re-runs the full checks.
-     */
-    std::vector<std::uint8_t> issueStalled;
+    WarpBitset fetchBlocked;
+    /** The head passed its ready cycle and failed the scoreboard
+     *  checks; the warp's scoreboard has not changed since. */
+    WarpBitset sbStalled;
+    /** The head is a ready global-memory instruction that passed the
+     *  scoreboard checks and was refused only by the LSU gates. */
+    WarpBitset lsuWaiting;
+    /** The warp is unschedulable or its ibuf is empty. Also cleared by
+     *  a fetch into the ibuf, the only way an empty ibuf refills. */
+    WarpBitset issueIdle;
 
     std::vector<TbSlot> slots;
     std::vector<OffchipBlock> offchip;
@@ -350,8 +351,42 @@ struct PipelineState {
     void
     wakeWarp(int w)
     {
-        fetchBlocked[static_cast<std::size_t>(w)] = 0;
-        issueStalled[static_cast<std::size_t>(w)] = 0;
+        fetchBlocked.reset(w);
+        sbStalled.reset(w);
+        lsuWaiting.reset(w);
+        issueIdle.reset(w);
+    }
+
+    /**
+     * Walk the fetch/issue scan in scheduling order, visiting only
+     * candidate warps. @p last is the warp the stage served last
+     * (rrFetch or rrIssue), read live as the full-width scan did.
+     * LRR rotates over the active warps from last + 1. GTO retries
+     * @p last, then scans oldest-first over min(activeWarps,
+     * maxWarps - 1) slots (the full-width scan's bound), passing over
+     * whichever warp @p last names at that moment.
+     *
+     * cand(wi) returns word wi of the candidate mask; it may change
+     * between visits. skip(lo, hi) runs for each range of
+     * non-candidates the scan passes over; visit(w) runs for each
+     * candidate and returns true to end the scan.
+     */
+    template <class Cand, class Skip, class Visit>
+    void
+    scanWarps(const int &last, Cand &&cand, Skip &&skip, Visit &&visit)
+    {
+        const int n = activeWarps;
+        if (cfg.sm.schedPolicy == gpu::SchedPolicy::GreedyThenOldest) {
+            const int m = std::min(n, static_cast<int>(warps.size()) - 1);
+            if (!scanRange(last, last + 1, nullptr, cand, skip, visit))
+                scanRange(0, m, &last, cand, skip, visit);
+            return;
+        }
+        int start = std::min(last, n - 1) + 1;
+        if (start == n)
+            start = 0;
+        if (!scanRange(start, n, nullptr, cand, skip, visit))
+            scanRange(0, start, nullptr, cand, skip, visit);
     }
 
     std::uint32_t
@@ -490,6 +525,36 @@ struct PipelineState {
     }
 
   private:
+    /** One ascending range of scanWarps; @p pass (if set) is never
+     *  visited or skipped. True when visit ended the scan. */
+    template <class Cand, class Skip, class Visit>
+    static bool
+    scanRange(int lo, int hi, const int *pass, Cand &cand, Skip &skip,
+              Visit &visit)
+    {
+        auto word = [&](int wi) {
+            std::uint64_t x = cand(wi);
+            if (pass && (*pass >> 6) == wi)
+                x &= ~(1ull << (*pass & 63));
+            return x;
+        };
+        while (lo < hi) {
+            const int c = WarpBitset::findNextIn(lo, hi, word);
+            if (pass && *pass >= lo && *pass < c) {
+                skip(lo, *pass);
+                skip(*pass + 1, c);
+            } else {
+                skip(lo, c);
+            }
+            if (c == hi)
+                return false;
+            if (visit(c))
+                return true;
+            lo = c + 1;
+        }
+        return false;
+    }
+
     /** Out of line so this header need not see the sanitizer class. */
     void sanEventScheduled(Cycle cycle, std::uint64_t seq, EvKind kind);
     void emitWarpSlow(Cycle now, obs::PipeEventKind k, int w,

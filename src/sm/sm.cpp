@@ -27,8 +27,10 @@ Sm::beginKernel(const LaunchInfo &li)
     st_.slots.assign(static_cast<size_t>(li.blocksPerSm), TbSlot{});
     for (auto &w : st_.warps)
         w = WarpRt{};
-    std::fill(st_.fetchBlocked.begin(), st_.fetchBlocked.end(), 0);
-    std::fill(st_.issueStalled.begin(), st_.issueStalled.end(), 0);
+    st_.fetchBlocked.clear();
+    st_.sbStalled.clear();
+    st_.lsuWaiting.clear();
+    st_.issueIdle.clear();
     st_.offchip.clear();
     st_.extraBlocksBrought = 0;
     st_.slotRetryAt = kNoCycle;
@@ -194,7 +196,7 @@ Sm::drainShared(Cycle now)
         st_.obsBuf.clear();
     }
     if (st_.san)
-        st_.san->onDrainEnd(st_.smId);
+        st_.san->onDrainEnd(st_, now);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ class FetchStage
     void tick(Cycle now);
 
   private:
+    /** Fetch up to one line for warp @p w; true if anything was
+     *  fetched (otherwise the warp may be marked fetchBlocked). */
+    bool fetchWarp(int w, Cycle now);
+
     PipelineState &st_;
 };
 

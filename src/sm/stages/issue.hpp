@@ -23,6 +23,9 @@ class IssueStage
     void tick(Cycle now);
 
   private:
+    /** Issue from warp @p w until it stalls or the cycle's slots run
+     *  out (@p total counts them); returns the instructions issued. */
+    int issueWarp(int w, Cycle now, int &total);
     bool tryIssueHead(int w, Cycle now);
 
     PipelineState &st_;

@@ -13,12 +13,14 @@
 
 #include "check/fuzz.hpp"
 #include "check/oracle.hpp"
+#include "check/sanitizer.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "config/cli.hpp"
 #include "config/knob_registry.hpp"
 #include "gpu/gpu.hpp"
 #include "harness/sweep.hpp"
+#include "sm/pipeline.hpp"
 
 namespace gex {
 namespace {
@@ -143,6 +145,63 @@ TEST(SeededViolations, UnknownHookNameIsAConfigError)
     gpu::Gpu g(cfg);
     EXPECT_THROW(g.run(tw.kernel, tw.trace, vm::VmPolicy::demandPaging()),
                  ConfigError);
+}
+
+// --- Warp-mask coherence ---------------------------------------------
+
+/** Shared memory system stub: the mask checker never touches it. */
+class NoMemory : public sm::MemorySystem
+{
+  public:
+    Cycle l2Load(Addr, Cycle t) override { return t; }
+    Cycle l2Store(Addr, Cycle t) override { return t; }
+    Cycle l2Atomic(Addr, Cycle t) override { return t; }
+    vm::Translation translatePage(Addr, Cycle) override { return {}; }
+    Cycle bulkDramTraffic(Cycle t, std::uint64_t) override { return t; }
+    int pendingFaults(Cycle) override { return 0; }
+};
+
+TEST(WarpMaskCoherence, FlippedBitTripsTheChecker)
+{
+    const gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+    NoMemory sys;
+    check::SimSanitizer san(cfg, nullptr, nullptr);
+    trace::WarpTrace wt;
+    wt.insts.resize(1);
+    // Warp 0 is resident with its only instruction buffered and ready;
+    // its trace is drained, so fetchBlocked is a correct mark. Warp 1
+    // holds no block, so it is correctly idle and fetch-blocked.
+    auto coherent = [&](sm::PipelineState &st) {
+        sm::WarpRt &wr = st.warps[0];
+        wr.slot = 0;
+        wr.tr = &wt;
+        wr.fetchIdx = 1;
+        wr.ibuf.push_back(sm::InstBufEntry{0, 0});
+        st.fetchBlocked.set(0);
+        st.issueIdle.set(1);
+        st.fetchBlocked.set(1);
+    };
+    {
+        sm::PipelineState st(0, cfg, sys);
+        coherent(st);
+        EXPECT_NO_THROW(san.checkWarpMasks(st, 10));
+    }
+    // Each flipped bit claims a blocking reason warp 0 does not have.
+    for (auto flip : {&sm::PipelineState::issueIdle,
+                      &sm::PipelineState::sbStalled}) {
+        sm::PipelineState st(0, cfg, sys);
+        coherent(st);
+        (st.*flip).set(0);
+        try {
+            san.checkWarpMasks(st, 10);
+            ADD_FAILURE() << "flipped mask bit not detected";
+        } catch (const InvariantError &e) {
+            EXPECT_NE(std::string(e.what()).find("warp-mask coherence"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_EQ(cli::exitCodeFor(e), cli::ExitInvariant);
+        }
+    }
 }
 
 // --- --check on/off bit-identity ------------------------------------

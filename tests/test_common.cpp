@@ -200,5 +200,31 @@ TEST(TaskPool, CallerSeesWorkerWrites)
         ASSERT_EQ(data[static_cast<size_t>(i)], i * 3);
 }
 
+TEST(TaskPool, HundredThousandBackToBackDispatches)
+{
+    // Back-to-back dispatches alternating between two jobs and cycling
+    // the size: a worker still leaving one dispatch must never claim
+    // an index of the next (an index run twice, or under the wrong
+    // job) nor lose a completion to the next reset (a hang). Built
+    // directly with 4 threads, so real workers run on any host.
+    common::TaskPool pool(4);
+    struct Job {
+        int hits[16] = {};
+    };
+    Job jobs[2];
+    for (int d = 0; d < 100000; ++d) {
+        Job &job = jobs[d & 1];
+        const int n = 1 + d % 16;
+        pool.run(n,
+                 [](void *c, int i) { ++static_cast<Job *>(c)->hits[i]; },
+                 &job);
+        for (int i = 0; i < 16; ++i) {
+            ASSERT_EQ(job.hits[i], i < n ? 1 : 0)
+                << "dispatch " << d << " index " << i;
+            job.hits[i] = 0;
+        }
+    }
+}
+
 } // namespace
 } // namespace gex
