@@ -362,9 +362,8 @@ struct PipelineState {
      * candidate warps. @p last is the warp the stage served last
      * (rrFetch or rrIssue), read live as the full-width scan did.
      * LRR rotates over the active warps from last + 1. GTO retries
-     * @p last, then scans oldest-first over min(activeWarps,
-     * maxWarps - 1) slots (the full-width scan's bound), passing over
-     * whichever warp @p last names at that moment.
+     * @p last, then scans oldest-first over the active warps, passing
+     * over whichever warp @p last names at that moment.
      *
      * cand(wi) returns word wi of the candidate mask; it may change
      * between visits. skip(lo, hi) runs for each range of
@@ -377,9 +376,8 @@ struct PipelineState {
     {
         const int n = activeWarps;
         if (cfg.sm.schedPolicy == gpu::SchedPolicy::GreedyThenOldest) {
-            const int m = std::min(n, static_cast<int>(warps.size()) - 1);
             if (!scanRange(last, last + 1, nullptr, cand, skip, visit))
-                scanRange(0, m, &last, cand, skip, visit);
+                scanRange(0, n, &last, cand, skip, visit);
             return;
         }
         int start = std::min(last, n - 1) + 1;

@@ -160,7 +160,9 @@ struct OccupiedPoint {
 // per-warp-scan code they replaced: fully occupied SMs (64 warps) that
 // queue behind the LSU under replay-queue, operand-log and wd-commit,
 // the greedy-then-oldest visit order, and 128 resident warps per SM
-// (multi-word masks).
+// (multi-word masks). The full-occupancy greedy-then-oldest point was
+// added with the fix that lets that scan reach warp maxWarps - 1; it
+// deadlocked before.
 const OccupiedPoint kOccupied[] = {
     {"sad", 2, "replay-queue", 16, false, false,
      61756ull, 110592ull, 0x8a6765ba058cd8a7ull},
@@ -170,6 +172,8 @@ const OccupiedPoint kOccupied[] = {
      64068ull, 110592ull, 0x9d2da9d3ab5de3f5ull},
     {"sad", 1, "replay-queue", 16, true, false,
      32942ull, 55296ull, 0xa78bdec77d5d27a7ull},
+    {"sad", 2, "replay-queue", 16, true, false,
+     66460ull, 110592ull, 0xb8c3265186f83fc0ull},
     {"sad", 2, "operand-log", 8, false, true,
      116010ull, 110592ull, 0xc7001df1dbaa1530ull},
 };
