@@ -42,15 +42,17 @@ traceDigest(const trace::KernelTrace &trace)
     for (const trace::BlockTrace &bt : trace.blocks) {
         mix(h, bt.blockId);
         for (const trace::WarpTrace &wt : bt.warps) {
-            mix(h, wt.insts.size());
-            for (const trace::TraceInst &ti : wt.insts) {
-                mix(h, ti.staticIdx);
+            mix(h, wt.size());
+            trace::LineBuf buf;
+            for (std::uint32_t i = 0; i < wt.size(); ++i) {
+                const trace::TraceInst &ti = wt.inst(i);
+                mix(h, ti.staticIdx());
                 mix(h, static_cast<std::uint64_t>(ti.active));
-                mix(h, (static_cast<std::uint64_t>(ti.numLines) << 17) ^
-                           ti.numActive ^ (ti.arithFault ? 1ull << 40 : 0));
-                const Addr *lines = wt.lines(ti);
-                for (std::uint16_t l = 0; l < ti.numLines; ++l)
-                    mix(h, lines[l]);
+                mix(h, (static_cast<std::uint64_t>(ti.numLines()) << 17) ^
+                           ti.numActive() ^
+                           (ti.arithFault() ? 1ull << 40 : 0));
+                for (Addr line : wt.lines(i, buf))
+                    mix(h, line);
             }
         }
     }

@@ -75,7 +75,7 @@ SimSanitizer::beginRun(const isa::Program &program,
         const trace::BlockTrace &bt = trace.blocks[b];
         coverage_[b].resize(bt.warps.size());
         for (std::size_t w = 0; w < bt.warps.size(); ++w)
-            coverage_[b][w].committed.assign(bt.warps[w].insts.size(),
+            coverage_[b][w].committed.assign(bt.warps[w].size(),
                                              0);
     }
 }
@@ -470,13 +470,13 @@ SimSanitizer::checkWarpMasks(const sm::PipelineState &st, Cycle now) const
                      st.cfg.sm.instBufferDepth &&
                  wr.controlPending == 0 && !wr.wdFetchDisable &&
                  !(wr.replayQ.empty() &&
-                   wr.fetchIdx >= wr.tr->insts.size()))
+                   wr.fetchIdx >= wr.tr->size()))
             stale = "fetchBlocked";
         else if (st.lsuWaiting.test(w)) {
             bool holds = ready;
             if (holds) {
                 const isa::Instruction &si = sm::decodeInst(
-                    st, wr.tr->insts[wr.ibuf.front().idx]);
+                    st, wr.tr->inst(wr.ibuf.front().idx));
                 holds = si.isGlobalMem() && sm::operandsReady(st.sb, w, si);
             }
             if (!holds)

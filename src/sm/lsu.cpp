@@ -42,7 +42,7 @@ Lsu::processGlobal(const isa::Instruction &inst, const trace::TraceInst &ti,
     tl.lastTlbCheck = front_done;
     tl.execDone = front_done;
 
-    if (ti.numLines == 0) {
+    if (ti.numLines() == 0) {
         // Fully predicated-off instruction: flows through the pipe
         // with no memory work.
         tl.execDone = front_done + 1;
@@ -50,7 +50,7 @@ Lsu::processGlobal(const isa::Instruction &inst, const trace::TraceInst &ti,
         return tl;
     }
 
-    for (std::uint16_t i = 0; i < ti.numLines; ++i) {
+    for (unsigned i = 0; i < ti.numLines(); ++i) {
         Addr line = lines[i];
         Addr page = pageOf(line);
         ++requests_;

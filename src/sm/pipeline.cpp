@@ -42,7 +42,7 @@ PipelineState::revertIbuf(WarpRt &w)
     if (w.ibuf.empty())
         return;
     for (std::size_t i = 0; i < w.ibuf.size(); ++i) {
-        const trace::TraceInst &ti = w.tr->insts[w.ibuf[i].idx];
+        const trace::TraceInst &ti = w.tr->inst(w.ibuf[i].idx);
         const isa::Instruction &si = decodeInst(*this, ti);
         if (si.isControl()) {
             GEX_ASSERT(w.controlPending > 0);
@@ -88,7 +88,7 @@ PipelineState::emitInstSlow(Cycle now, obs::PipeEventKind k,
     e.warp = in.warp;
     e.kind = k;
     e.traceIdx = in.traceIdx;
-    e.staticIdx = in.ti ? in.ti->staticIdx : obs::PipeEvent::kNoIndex;
+    e.staticIdx = in.ti ? in.ti->staticIdx() : obs::PipeEvent::kNoIndex;
     e.arg = arg;
     obsBuf.push_back(e);
 }

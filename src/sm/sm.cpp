@@ -166,8 +166,9 @@ Sm::drainShared(Cycle now)
         // op_read the in-place call would have used.
         Inflight &in = st_.pool[op.id];
         WarpRt &wr = st_.warps[static_cast<size_t>(in.warp)];
-        in.mem = st_.lsu.processGlobal(*in.si, *in.ti,
-                                       wr.tr->lines(*in.ti), now + 1,
+        trace::LineBuf buf;
+        const Addr *lines = wr.tr->lines(in.traceIdx, buf).data();
+        in.mem = st_.lsu.processGlobal(*in.si, *in.ti, lines, now + 1,
                                        st_.policy.stallFaultsInPipeline(),
                                        st_.cfg.faultRetryLatency);
         if (in.mem.faulted) {
@@ -356,7 +357,7 @@ Sm::checkWarpFinished(int w, Cycle now)
     WarpRt &wr = st_.warps[static_cast<size_t>(w)];
     if (wr.finished || wr.slot < 0)
         return;
-    if (wr.fetchIdx >= wr.tr->insts.size() && wr.replayQ.empty() &&
+    if (wr.fetchIdx >= wr.tr->size() && wr.replayQ.empty() &&
         wr.ibuf.empty() && wr.inflight == 0 && !wr.faultBlocked) {
         wr.finished = true;
         TbSlot &ts = st_.slots[static_cast<size_t>(wr.slot)];

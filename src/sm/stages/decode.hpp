@@ -20,7 +20,7 @@ namespace gex::sm {
 inline const isa::Instruction &
 decodeInst(const PipelineState &st, const trace::TraceInst &ti)
 {
-    return st.li.kernel->program.at(ti.staticIdx);
+    return st.li.kernel->program.at(ti.staticIdx());
 }
 
 /** Cycle a just-fetched instruction becomes issue-eligible. */

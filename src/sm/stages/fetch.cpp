@@ -47,13 +47,13 @@ FetchStage::fetchWarp(int w, Cycle now)
             idx = wr.replayQ.front();
             wr.replayQ.pop_front();
             from_replay = true;
-        } else if (wr.fetchIdx < wr.tr->insts.size()) {
+        } else if (wr.fetchIdx < wr.tr->size()) {
             idx = wr.fetchIdx++;
         } else {
             break;
         }
 
-        const trace::TraceInst &ti = wr.tr->insts[idx];
+        const trace::TraceInst &ti = wr.tr->inst(idx);
         const isa::Instruction &si = decodeInst(st_, ti);
         if (si.isControl())
             ++wr.controlPending;
@@ -63,11 +63,11 @@ FetchStage::fetchWarp(int w, Cycle now)
             wr.wdFetchDisable = true;
             wr.wdDisabledSince = now;
             st_.emitFetch(now, obs::PipeEventKind::FetchDisabled, w,
-                          idx, ti.staticIdx);
+                          idx, ti.staticIdx());
         }
         wr.ibuf.push_back(InstBufEntry{idx, decodeReady(now)});
         st_.emitFetch(now, obs::PipeEventKind::Fetched, w, idx,
-                      ti.staticIdx, from_replay ? 1 : 0);
+                      ti.staticIdx(), from_replay ? 1 : 0);
         ++st_.fetches;
         ++fetched_from_warp;
         st_.didWork = true;

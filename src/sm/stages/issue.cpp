@@ -108,7 +108,7 @@ IssueStage::tryIssueHead(int w, Cycle now)
     // that does not match its stall memo.
     WarpRt &wr = st_.warps[static_cast<size_t>(w)];
     const std::uint32_t idx = wr.ibuf.front().idx;
-    const trace::TraceInst &ti = wr.tr->insts[idx];
+    const trace::TraceInst &ti = wr.tr->inst(idx);
     const Instruction &si = decodeInst(st_, ti);
     const auto &t = si.traits();
 
@@ -140,7 +140,7 @@ IssueStage::tryIssueHead(int w, Cycle now)
 
     // --- operand log gate (OperandLog scheme) ---
     std::uint32_t log_bytes = 0;
-    if (st_.policy.logAdmission(is_global, ti.numActive)) {
+    if (st_.policy.logAdmission(is_global, ti.numActive())) {
         log_bytes = OperandLog::entryBytes(t.isStore || t.isAtomic);
         if (!st_.log.tryAllocate(wr.slot, log_bytes)) {
             ++st_.stallLog;
@@ -238,7 +238,7 @@ IssueStage::tryIssueHead(int w, Cycle now)
             // instructions release only once they are known safe
             // (here: completion); see paper section 3.2.
         }
-        if (arith_capable && ti.arithFault) {
+        if (arith_capable && ti.arithFault()) {
             if (st_.policy.preemptible)
                 st_.scheduleInstEvent(in.commitAt, EvKind::TrapEnter, w,
                                       id);

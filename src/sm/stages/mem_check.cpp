@@ -72,7 +72,7 @@ MemCheckStage::onFaultReact(Inflight &in, Cycle now)
                  static_cast<std::uint64_t>(in.mem.kind));
 
     const std::uint32_t replay_idx = in.traceIdx;
-    const std::uint32_t static_idx = in.ti->staticIdx;
+    const std::uint32_t static_idx = in.ti->staticIdx();
     squash(in, now);
     PipelineState::insertReplay(wr, replay_idx);
     ++st_.replaysPerWarp[static_cast<size_t>(in.warp)];

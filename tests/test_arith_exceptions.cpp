@@ -65,8 +65,8 @@ TEST(ArithExceptions, FunctionalDetectionFlagsTrace)
         int n = 0;
         for (const auto &blk : kt.blocks)
             for (const auto &w : blk.warps)
-                for (const auto &ti : w.insts)
-                    if (ti.arithFault)
+                for (const auto &ti : w.insts())
+                    if (ti.arithFault())
                         ++n;
         return n;
     };
@@ -92,12 +92,12 @@ TEST(ArithExceptions, DetectionCoversEachOpcode)
     bt.kernel.block = {32, 1, 1};
     func::FunctionalSim fsim(bt.mem);
     bt.trace = fsim.run(bt.kernel);
-    const auto &insts = bt.trace.blocks[0].warps[0].insts;
-    EXPECT_TRUE(insts[2].arithFault);  // frcp
-    EXPECT_TRUE(insts[3].arithFault);  // frsq
-    EXPECT_TRUE(insts[4].arithFault);  // fsqrt
-    EXPECT_TRUE(insts[5].arithFault);  // flog2
-    EXPECT_FALSE(insts[6].arithFault); // fsin
+    const auto insts = bt.trace.blocks[0].warps[0].insts();
+    EXPECT_TRUE(insts[2].arithFault());  // frcp
+    EXPECT_TRUE(insts[3].arithFault());  // frsq
+    EXPECT_TRUE(insts[4].arithFault());  // fsqrt
+    EXPECT_TRUE(insts[5].arithFault());  // flog2
+    EXPECT_FALSE(insts[6].arithFault()); // fsin
 }
 
 gpu::SimResult

@@ -330,9 +330,9 @@ TEST(Functional, TraceRecordsCoalescedLines)
     trace::KernelTrace kt = run1(mem, b.build(), 32, {kIn});
     const trace::WarpTrace &w = kt.blocks[0].warps[0];
     std::vector<int> lines;
-    for (const auto &ti : w.insts)
-        if (ti.numLines > 0)
-            lines.push_back(ti.numLines);
+    for (const auto &ti : w.insts())
+        if (ti.numLines() > 0)
+            lines.push_back(static_cast<int>(ti.numLines()));
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(lines[0], 2);
     EXPECT_EQ(lines[1], 32);
@@ -352,7 +352,7 @@ TEST(Functional, PartialLastWarpMask)
     trace::KernelTrace kt = run1(mem, b.build(), 40, {kOut});
     ASSERT_EQ(kt.blocks[0].warps.size(), 2u);
     // Second warp has only 8 live lanes.
-    for (const auto &ti : kt.blocks[0].warps[1].insts)
+    for (const auto &ti : kt.blocks[0].warps[1].insts())
         EXPECT_EQ(ti.active & ~0xffu, 0u);
     EXPECT_EQ(mem.read64(kOut + 39 * 8), 39u);
 }

@@ -174,12 +174,12 @@ TEST(FunctionalEdge, PredicatedOffMemOpRecordsNoLines)
     b.clearGuard();
     b.exit();
     trace::KernelTrace kt = run1(mem, b.build(), 32, {kOut});
-    const auto &insts = kt.blocks[0].warps[0].insts;
+    const auto insts = kt.blocks[0].warps[0].insts();
     // The load record exists (it flows through the pipeline) but has
     // no active lanes and no memory requests.
     const auto &ld = insts[insts.size() - 2];
     EXPECT_EQ(ld.active, 0u);
-    EXPECT_EQ(ld.numLines, 0);
+    EXPECT_EQ(ld.numLines(), 0u);
 }
 
 TEST(FunctionalEdge, HeapExhaustionIsFatal)

@@ -159,11 +159,16 @@ TEST(Trace, LinePointersInBounds)
     Built *bt = shared();
     for (const auto &blk : bt->trace.blocks) {
         for (const auto &w : blk.warps) {
-            for (const auto &ti : w.insts) {
-                ASSERT_LE(ti.lineOff + ti.numLines, w.linePool.size());
-                const Addr *lines = w.lines(ti);
-                for (int i = 0; i < ti.numLines; ++i)
-                    EXPECT_EQ(lines[i] % kLineSize, 0u);
+            std::size_t off = 0;
+            trace::LineBuf buf;
+            for (std::uint32_t i = 0; i < w.size(); ++i) {
+                const trace::TraceInst &ti = w.inst(i);
+                ASSERT_LE(off + ti.numLines(), w.lineCount());
+                off += ti.numLines();
+                std::span<const Addr> lines = w.lines(i, buf);
+                ASSERT_EQ(lines.size(), ti.numLines());
+                for (Addr l : lines)
+                    EXPECT_EQ(l % kLineSize, 0u);
             }
         }
     }

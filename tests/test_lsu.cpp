@@ -75,12 +75,8 @@ class LsuTest : public ::testing::Test
     inst(const std::vector<Addr> &lines)
     {
         pool_ = lines;
-        trace::TraceInst ti{};
-        ti.active = kFullMask;
-        ti.numActive = 32;
-        ti.numLines = static_cast<std::uint16_t>(lines.size());
-        ti.lineOff = 0;
-        return ti;
+        return trace::TraceInst(0, kFullMask,
+                                static_cast<unsigned>(lines.size()), false);
     }
 
     isa::Instruction
@@ -147,8 +143,8 @@ TEST_F(LsuTest, SameLineTlbReuse)
 TEST_F(LsuTest, PredicatedOffInstructionFlowsThrough)
 {
     trace::TraceInst ti{};
-    ti.numLines = 0;
-    ti.numActive = 0;
+    ASSERT_EQ(ti.numLines(), 0u);
+    ASSERT_EQ(ti.numActive(), 0u);
     auto si = loadInst();
     MemTimeline tl = lsu_.processGlobal(si, ti, nullptr, 100, false, 20);
     EXPECT_FALSE(tl.faulted);

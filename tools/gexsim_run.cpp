@@ -109,6 +109,10 @@ toolMain(int argc, char **argv)
     std::printf("faults        %.0f (%.0f joined)\n",
                 r.stats.get("mmu.faults"),
                 r.stats.get("mmu.joined_faults"));
+    const double trace_bytes = tr.stats.get("func.trace_bytes");
+    std::printf("trace         %.0f bytes (%.2f per warp instruction)\n",
+                trace_bytes,
+                trace_bytes / tr.stats.get("func.dynamic_warp_insts"));
     if (o.dumpStats) {
         std::printf("\n");
         r.stats.dump(std::cout, "  ");
@@ -133,6 +137,10 @@ toolMain(int argc, char **argv)
         jw.key("ipc").value(r.ipc());
         jw.key("stats");
         r.stats.writeJson(jw);
+        // The functional trace's own stats (func.*), kept out of
+        // "stats" so the result digest does not depend on them.
+        jw.key("trace");
+        tr.stats.writeJson(jw);
         jw.endObject();
         os << "\n";
     }
