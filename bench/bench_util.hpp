@@ -41,13 +41,11 @@ runConfig(const TracedWorkload &tw, const gpu::GpuConfig &cfg,
 
 /**
  * Common command line of the sweep-engine benches:
- * --jobs N (worker threads; 0 = all cores), --sm-threads N (per-run
- * SM-tick threads, results identical at any value) and --json FILE
- * (write the full result set as a BENCH_*.json document).
+ * --jobs N (worker threads; 0 = all cores) and --json FILE (write the
+ * full result set as a BENCH_*.json document).
  */
 struct SweepOptions {
     int jobs = 1;
-    int smThreads = 1;
     std::string jsonPath;
 };
 
@@ -64,17 +62,12 @@ parseSweepArgs(int argc, char **argv, const char *benchName)
         };
         if (a == "--jobs")
             o.jobs = cli::parseIntFlag("--jobs", next(), 0, 4096);
-        else if (a == "--sm-threads")
-            o.smThreads =
-                cli::parseIntFlag("--sm-threads", next(), 1, 4096);
         else if (a == "--json") o.jsonPath = next();
         else if (a == "--help" || a == "-h") {
-            std::printf("%s [--jobs N] [--sm-threads N] [--json FILE]\n",
-                        benchName);
+            std::printf("%s [--jobs N] [--json FILE]\n", benchName);
             std::exit(0);
         } else {
-            fatal("unknown flag '%s' (accepted: --jobs N, "
-                  "--sm-threads N, --json FILE)",
+            fatal("unknown flag '%s' (accepted: --jobs N, --json FILE)",
                   a.c_str());
         }
     }

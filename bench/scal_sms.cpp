@@ -1,19 +1,16 @@
 /**
  * @file
  * Scalability study (paper section 5.5): how the scheme costs and the
- * two use cases move with the number of SMs (8/16/32), now run through
- * the parallel sweep engine with JSON export, plus a wall-clock
- * section measuring the phased SM tick engine (GpuConfig::smThreads)
- * against the serial driver at 1/4/8/16 SMs. The paper's
+ * two use cases move with the number of SMs (8/16/32), run through
+ * the parallel sweep engine with JSON export. The paper's
  * observations: scheme gaps widen when occupancy drops relative to the
  * machine; more SMs means more concurrent faults, which hurts
  * CPU-handled paging and helps GPU-local handling.
  *
- *     gexsim-scal-sms [--jobs N] [--sm-threads N] [--json FILE]
+ *     gexsim-scal-sms [--jobs N] [--json FILE]
  *
- * --jobs parallelizes across grid points, --sm-threads sets the
- * parallel-engine thread count of the wall-clock section (simulated
- * results are bit-identical either way; only wall time moves).
+ * --jobs parallelizes across grid points (simulated results are
+ * bit-identical at any value; only wall time moves).
  */
 
 #include <chrono>
@@ -29,26 +26,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 const int kSchemeSms[] = {8, 16, 32};
-const int kScalingSms[] = {1, 4, 8, 16};
-
-/** One row of the serial-vs-parallel wall-clock comparison. */
-struct ScalingRow {
-    int sms = 0;
-    std::uint64_t cycles = 0;
-    double serialWall = 0;
-    double parallelWall = 0;
-};
-
-double
-wallOf(const bench::TracedWorkload &tw, const gpu::GpuConfig &cfg,
-       std::uint64_t &cycles_out)
-{
-    auto t0 = Clock::now();
-    gpu::SimResult r = bench::runConfig(tw, cfg);
-    auto t1 = Clock::now();
-    cycles_out = r.cycles;
-    return std::chrono::duration<double>(t1 - t0).count();
-}
 
 } // namespace
 
@@ -57,7 +34,6 @@ toolMain(int argc, char **argv)
 {
     bench::SweepOptions opt =
         bench::parseSweepArgs(argc, argv, "gexsim-scal-sms");
-    const int smThreads = opt.smThreads > 1 ? opt.smThreads : 4;
 
     // --- grid 1: scheme cost vs SM count (fault-free) -------------------
     const std::vector<std::string> picks = {"lbm", "sgemm", "histo"};
@@ -137,37 +113,6 @@ toolMain(int argc, char **argv)
                         : 0.0);
     }
 
-    // --- wall clock: serial vs phased-parallel tick engine --------------
-    std::printf("\n=== Wall clock: serial vs parallel tick engine "
-                "(lbm, baseline scheme, sm-threads=%d, %u host cpus) "
-                "===\n",
-                smThreads, std::thread::hardware_concurrency());
-    std::printf("%8s %12s %12s %12s %10s\n", "SMs", "cycles",
-                "serial s", "parallel s", "speedup");
-    std::vector<ScalingRow> scaling;
-    const bench::TracedWorkload &lbm = eng.traces().get("lbm");
-    for (int n : kScalingSms) {
-        gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
-        cfg.numSms = n;
-        ScalingRow row;
-        row.sms = n;
-        row.serialWall = wallOf(lbm, cfg, row.cycles);
-        cfg.smThreads = smThreads;
-        std::uint64_t par_cycles = 0;
-        row.parallelWall = wallOf(lbm, cfg, par_cycles);
-        if (par_cycles != row.cycles)
-            fatal("parallel tick diverged at %d SMs: %llu != %llu", n,
-                  static_cast<unsigned long long>(par_cycles),
-                  static_cast<unsigned long long>(row.cycles));
-        scaling.push_back(row);
-        std::printf("%8d %12llu %12.3f %12.3f %10.2fx\n", n,
-                    static_cast<unsigned long long>(row.cycles),
-                    row.serialWall, row.parallelWall,
-                    row.parallelWall > 0
-                        ? row.serialWall / row.parallelWall
-                        : 0.0);
-        std::fflush(stdout);
-    }
     std::printf("\npaper section 5.5: local-handling benefit grows with "
                 "SM count (more concurrent faults).\n");
 
@@ -184,7 +129,6 @@ toolMain(int argc, char **argv)
         config::KnobRegistry::instance().writeManifest(
             w, config::RunParams::baseline());
         w.key("jobs").value(eng.jobs());
-        w.key("sm_threads").value(smThreads);
         w.key("host_cpus")
             .value(static_cast<std::uint64_t>(
                 std::thread::hardware_concurrency()));
@@ -213,23 +157,6 @@ toolMain(int argc, char **argv)
         for (const auto &kv : harness::seriesGeomeans(runs))
             w.key(kv.first).value(kv.second);
         w.endObject();
-        // Serial vs phased-parallel wall time of identical
-        // simulations (cycles pinned equal above).
-        w.key("scaling").beginArray();
-        for (const ScalingRow &row : scaling) {
-            w.beginObject();
-            w.key("workload").value("lbm");
-            w.key("sms").value(row.sms);
-            w.key("cycles").value(row.cycles);
-            w.key("serial_wall_seconds").value(row.serialWall);
-            w.key("parallel_wall_seconds").value(row.parallelWall);
-            w.key("parallel_speedup")
-                .value(row.parallelWall > 0
-                           ? row.serialWall / row.parallelWall
-                           : 0.0);
-            w.endObject();
-        }
-        w.endArray();
         w.endObject();
         os << "\n";
         GEX_ASSERT(w.complete());

@@ -1,24 +1,18 @@
 /**
  * @file
  * Self-measuring simulator-throughput harness (gexsim-throughput):
- * runs a fixed grid of timing simulations, serially, through the
- * parallel sweep engine, and serially again with the intra-run phased
- * SM tick engine (GpuConfig::smThreads), and reports simulated
- * kcycles per wall second against the recorded pre-optimization
- * baseline. This is the
+ * runs a fixed grid of timing simulations, serially and through the
+ * parallel sweep engine, and reports simulated kcycles per wall
+ * second against the recorded pre-optimization baseline. This is the
  * regression gate for hot-path work on the timing loop: the simulated
  * results themselves are pinned bit-identical by the golden-stats
  * test, so the only thing allowed to move here is wall time.
  *
- *     gexsim-throughput [--quick] [--jobs N] [--sm-threads N]
- *                       [--json FILE]
+ *     gexsim-throughput [--quick] [--jobs N] [--json FILE]
  *
  * --quick runs a 5-point subset (CI smoke; no baseline comparison),
- * --jobs N sets sweep-engine workers (0 = all cores), --sm-threads N
- * sets the per-run SM-tick thread count of the parallel phase
- * (default 4; simulated results are bit-identical at any value),
- * --json FILE writes the measurements as one BENCH_throughput.json
- * document.
+ * --jobs N sets sweep-engine workers (0 = all cores), --json FILE
+ * writes the measurements as one BENCH_throughput.json document.
  */
 
 #include <chrono>
@@ -103,11 +97,10 @@ struct PhaseTotals {
 };
 
 gpu::GpuConfig
-configFor(const Point &pt, int sm_threads = 1)
+configFor(const Point &pt)
 {
     gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
     cfg.scheme = gpu::schemeFromName(pt.scheme);
-    cfg.smThreads = sm_threads;
     return cfg;
 }
 
@@ -118,14 +111,10 @@ policyFor(const Point &pt)
                            : vm::VmPolicy::allResident();
 }
 
-/**
- * One simulation per point on this thread, each individually timed.
- * sm_threads > 1 runs each point on the phased multi-threaded tick
- * engine (same simulated results, different wall clock).
- */
+/** One simulation per point on this thread, each individually timed. */
 std::vector<PointResult>
 runSerial(harness::TraceCache &cache, const Point *grid, std::size_t n,
-          PhaseTotals &totals, int sm_threads = 1)
+          PhaseTotals &totals)
 {
     std::vector<PointResult> results;
     results.reserve(n);
@@ -133,7 +122,7 @@ runSerial(harness::TraceCache &cache, const Point *grid, std::size_t n,
         const Point &pt = grid[i];
         const harness::TracedWorkload &tw = cache.get(pt.workload);
         auto t0 = Clock::now();
-        gpu::Gpu g(configFor(pt, sm_threads));
+        gpu::Gpu g(configFor(pt));
         gpu::SimResult r = g.run(tw.kernel, tw.trace, policyFor(pt));
         auto t1 = Clock::now();
 
@@ -190,10 +179,9 @@ writePhase(json::Writer &w, const PhaseTotals &t)
 }
 
 void
-writeJson(const std::string &path, bool quick, int jobs, int sm_threads,
+writeJson(const std::string &path, bool quick, int jobs,
           const std::vector<PointResult> &points,
-          const PhaseTotals &serial, const PhaseTotals &parallel,
-          const PhaseTotals &sweep)
+          const PhaseTotals &serial, const PhaseTotals &sweep)
 {
     std::ofstream os(path);
     if (!os)
@@ -202,11 +190,15 @@ writeJson(const std::string &path, bool quick, int jobs, int sm_threads,
     json::Writer w(os);
     w.beginObject();
     w.key("name").value("throughput");
-    // The machine every grid point starts from (scheme/policy/
-    // sm-threads axes are per-point, listed in "points").
+    // The machine every grid point starts from (scheme/policy axes
+    // are per-point, listed in "points").
     w.key("resolved_config");
     config::KnobRegistry::instance().writeManifest(
         w, config::RunParams::baseline());
+    // Wall-clock context: the sweep phase scales with host cores.
+    w.key("host_cpus")
+        .value(static_cast<std::uint64_t>(
+            std::thread::hardware_concurrency()));
     w.key("grid").value(quick ? "quick" : "standard");
     w.key("grid_points").value(static_cast<std::uint64_t>(points.size()));
 
@@ -219,22 +211,6 @@ writeJson(const std::string &path, bool quick, int jobs, int sm_threads,
         w.key("speedup_vs_baseline")
             .value(serial.kcyclesPerSec() / kBaselineKcyclesPerSec);
     }
-
-    w.key("parallel").beginObject();
-    w.key("sm_threads").value(sm_threads);
-    // Wall-clock context for the speedup number: with fewer host
-    // cores than sm_threads the parallel phase cannot beat serial.
-    w.key("host_cpus")
-        .value(static_cast<std::uint64_t>(
-            std::thread::hardware_concurrency()));
-    w.key("wall_seconds").value(parallel.wallSeconds);
-    w.key("kcycles_per_sec").value(parallel.kcyclesPerSec());
-    w.key("insts_per_sec").value(parallel.instsPerSec());
-    w.key("speedup_vs_serial")
-        .value(parallel.wallSeconds > 0
-                   ? serial.wallSeconds / parallel.wallSeconds
-                   : 0.0);
-    w.endObject();
 
     w.key("sweep").beginObject();
     w.key("jobs").value(jobs);
@@ -270,8 +246,7 @@ static int
 toolMain(int argc, char **argv)
 {
     bool quick = false;
-    int jobs = 0;       // sweep phase defaults to all cores
-    int smThreads = 4;  // parallel phase (ISSUE acceptance point)
+    int jobs = 0; // sweep phase defaults to all cores
     std::string jsonPath;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -283,17 +258,14 @@ toolMain(int argc, char **argv)
         if (a == "--quick") quick = true;
         else if (a == "--jobs")
             jobs = cli::parseIntFlag("--jobs", next(), 0, 4096);
-        else if (a == "--sm-threads")
-            smThreads =
-                cli::parseIntFlag("--sm-threads", next(), 1, 4096);
         else if (a == "--json") jsonPath = next();
         else if (a == "--help" || a == "-h") {
             std::printf("gexsim-throughput [--quick] [--jobs N] "
-                        "[--sm-threads N] [--json FILE]\n");
+                        "[--json FILE]\n");
             return 0;
         } else {
             fatal("unknown flag '%s' (accepted: --quick, --jobs N, "
-                  "--sm-threads N, --json FILE)", a.c_str());
+                  "--json FILE)", a.c_str());
         }
     }
 
@@ -302,7 +274,7 @@ toolMain(int argc, char **argv)
                                 : std::size(kStandardGrid);
 
     // Functional tracing is one-time setup, not timing-loop work;
-    // build every trace before either measured phase.
+    // build every trace before both measured phases.
     harness::SweepEngine eng(jobs);
     for (std::size_t i = 0; i < n; ++i)
         (void)eng.traces().get(grid[i].workload);
@@ -319,18 +291,6 @@ toolMain(int argc, char **argv)
                     kBaselineKcyclesPerSec,
                     serial.kcyclesPerSec() / kBaselineKcyclesPerSec);
 
-    PhaseTotals parallel;
-    runSerial(eng.traces(), grid, n, parallel, smThreads);
-    std::printf("parallel%2zu pts  wall %7.3fs  %8.2f kcycles/s  "
-                "%10.0f insts/s  (sm-threads=%d, %.2fx vs serial, "
-                "%u host cpus)\n",
-                n, parallel.wallSeconds, parallel.kcyclesPerSec(),
-                parallel.instsPerSec(), smThreads,
-                parallel.wallSeconds > 0
-                    ? serial.wallSeconds / parallel.wallSeconds
-                    : 0.0,
-                std::thread::hardware_concurrency());
-
     PhaseTotals sweep = runSweep(eng, grid, n);
     std::printf("sweep   %2zu pts  wall %7.3fs  %8.2f kcycles/s  "
                 "%10.0f insts/s  (jobs=%d)\n",
@@ -338,8 +298,7 @@ toolMain(int argc, char **argv)
                 sweep.instsPerSec(), eng.jobs());
 
     if (!jsonPath.empty())
-        writeJson(jsonPath, quick, eng.jobs(), smThreads, points, serial,
-                  parallel, sweep);
+        writeJson(jsonPath, quick, eng.jobs(), points, serial, sweep);
     return 0;
 }
 

@@ -4,10 +4,9 @@
  * (docs/VALIDATION.md): CounterRng-seeded random points in the
  * (workload, policy, fault model, knob) space, each executed under all
  * five exception schemes with the invariant sanitizer on, checked
- * against the architectural oracle and the smThreads-differential
- * bit-identity contract. Any failure is greedily shrunk to a minimal
- * reproducer and serialized as a spec.json one `gexsim-run --config`
- * invocation replays.
+ * against the architectural oracle. Any failure is greedily shrunk to
+ * a minimal reproducer and serialized as a spec.json one
+ * `gexsim-run --config` invocation replays.
  *
  * Case generation is a pure function of (campaign seed, case index):
  * re-running a campaign with the same seed regenerates the same cases
@@ -36,9 +35,9 @@ struct FuzzCase {
     std::uint64_t index = 0; ///< case index within the campaign
 };
 
-/** A failed case, pinned to the scheme (and thread count) that failed. */
+/** A failed case, pinned to the scheme that failed. */
 struct FuzzFailure {
-    FuzzCase c; ///< params carry the failing scheme and smThreads
+    FuzzCase c; ///< params carry the failing scheme
     std::string kind;    ///< error taxonomy name ("InvariantError", ...)
     std::string message; ///< full report text
 };
@@ -50,8 +49,6 @@ struct FuzzOptions {
     std::vector<std::string> workloads;
     /** Attach the last-K event ring to every run's sanitizer. */
     bool captureEvents = true;
-    /** Second thread count for the bit-identity diff (<=1 disables). */
-    int smThreadsAlt = 4;
 };
 
 class FuzzCampaign
@@ -69,8 +66,8 @@ class FuzzCampaign
 
     /**
      * Execute @p c under every scheme: sanitizer on, oracle replay +
-     * timing verification, smThreads differential. True on pass; on
-     * failure fills @p fail and returns false.
+     * timing verification. True on pass; on failure fills @p fail and
+     * returns false.
      */
     bool runCase(const FuzzCase &c, FuzzFailure *fail);
 

@@ -364,24 +364,21 @@ SimSanitizer::onEventScheduled(int sm, Cycle cycle, std::uint64_t seq,
     // (vm/tlb.cpp merge path), so its FaultReact legitimately targets
     // a past cycle — the event still fires on the very next tick.
     if (cycle < s.now &&
-        kind != static_cast<int>(sm::EvKind::FaultReact) &&
-        s.deferred.empty()) {
+        kind != static_cast<int>(sm::EvKind::FaultReact)) {
         const char *name =
             kind >= 0 && kind < 10 ? kEvNames[kind] : "?";
-        s.deferred = strprintf(
-            "event-heap violation: %s event scheduled into the past "
-            "(target cycle %llu < current cycle %llu)",
-            name, static_cast<unsigned long long>(cycle),
-            static_cast<unsigned long long>(s.now));
-        s.deferredCycle = s.now;
+        fail(strprintf("event-heap violation: %s event scheduled into "
+                       "the past (target cycle %llu < current cycle "
+                       "%llu)",
+                       name, static_cast<unsigned long long>(cycle),
+                       static_cast<unsigned long long>(s.now)),
+             s.now, sm, -1);
     }
-    if (!s.liveSeqs.insert(seq).second && s.deferred.empty()) {
-        s.deferred = strprintf(
-            "event-heap violation: duplicate event sequence number "
-            "%llu",
-            static_cast<unsigned long long>(seq));
-        s.deferredCycle = s.now;
-    }
+    if (!s.liveSeqs.insert(seq).second)
+        fail(strprintf("event-heap violation: duplicate event sequence "
+                       "number %llu",
+                       static_cast<unsigned long long>(seq)),
+             s.now, sm, -1);
 }
 
 void
@@ -413,35 +410,18 @@ void
 SimSanitizer::onBlockInstalled(int sm, int slot, std::uint32_t blockId,
                                int firstWarp, int numWarps)
 {
-    // Queued, not applied: events emitted earlier this cycle still sit
-    // in the SM's buffer and belong to the slot's previous block.
-    // onDrainEnd applies the mapping after that buffer flushed; a
-    // freshly installed block cannot commit before its install cycle
-    // ends (decode takes a cycle), so no commit ever sees a stale map.
-    sms_[static_cast<std::size_t>(sm)].installs.push_back(
-        PendingInstall{slot, blockId, firstWarp, numWarps});
-}
-
-void
-SimSanitizer::onDrainEnd(const sm::PipelineState &st, Cycle now)
-{
-    SmShadow &s = sms_[static_cast<std::size_t>(st.smId)];
-    for (const PendingInstall &pi : s.installs) {
-        SlotShadow &sl = s.slots[static_cast<std::size_t>(pi.slot)];
-        sl.blockId = pi.blockId;
-        sl.firstWarp = pi.firstWarp;
-        sl.numWarps = pi.numWarps;
-        for (int j = 0; j < pi.numWarps; ++j) {
-            WarpShadow &w =
-                s.warps[static_cast<std::size_t>(pi.firstWarp + j)];
-            // Only the block mapping updates: the warp-disable and
-            // in-flight shadows track the continuous event stream.
-            w.blockId = pi.blockId;
-            w.warpInBlock = j;
-        }
+    SmShadow &s = sms_[static_cast<std::size_t>(sm)];
+    SlotShadow &sl = s.slots[static_cast<std::size_t>(slot)];
+    sl.blockId = blockId;
+    sl.firstWarp = firstWarp;
+    sl.numWarps = numWarps;
+    for (int j = 0; j < numWarps; ++j) {
+        WarpShadow &w = s.warps[static_cast<std::size_t>(firstWarp + j)];
+        // Only the block mapping updates: the warp-disable and
+        // in-flight shadows track the continuous event stream.
+        w.blockId = blockId;
+        w.warpInBlock = j;
     }
-    s.installs.clear();
-    checkWarpMasks(st, now);
 }
 
 void
@@ -507,16 +487,6 @@ SimSanitizer::onFaultedTranslation(int sm, int warp, Addr page,
 }
 
 void
-SimSanitizer::throwDeferred()
-{
-    for (std::size_t i = 0; i < sms_.size(); ++i) {
-        SmShadow &s = sms_[i];
-        if (!s.deferred.empty())
-            fail(s.deferred, s.deferredCycle, static_cast<int>(i), -1);
-    }
-}
-
-void
 SimSanitizer::checkDrained(const sm::PipelineState &st, Cycle now) const
 {
     for (std::size_t i = 0; i < st.pool.size(); ++i)
@@ -563,13 +533,6 @@ SimSanitizer::checkDrained(const sm::PipelineState &st, Cycle now) const
         if (rb.bt != nullptr)
             fail("leak at drain: context restore still pending", now,
                  st.smId, -1);
-    if (!st.staged.empty())
-        fail("leak at drain: staged shared-memory operations not "
-             "drained",
-             now, st.smId, -1);
-    if (!st.obsBuf.empty())
-        fail("leak at drain: buffered observer events not flushed", now,
-             st.smId, -1);
     if (st.inflightMem != 0)
         fail(strprintf("leak at drain: LSU in-flight count is %d",
                        st.inflightMem),
@@ -589,7 +552,6 @@ SimSanitizer::checkDrained(const sm::PipelineState &st, Cycle now) const
 void
 SimSanitizer::finishRun(Cycle now)
 {
-    throwDeferred();
     for (std::size_t b = 0; b < coverage_.size(); ++b)
         for (std::size_t w = 0; w < coverage_[b].size(); ++w) {
             const WarpCoverage &cov = coverage_[b][w];

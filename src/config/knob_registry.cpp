@@ -476,11 +476,6 @@ KnobRegistry::KnobRegistry()
     }
     integer("sms", "number of SMs", 1, 4096, GETSET_INT(cfg.numSms),
             "--sms");
-    integer("sm-threads",
-            "threads ticking the SMs of one run (results identical "
-            "at any value)",
-            1, 1024, GETSET_INT(cfg.smThreads), "--sm-threads",
-            /*execOnly=*/true);
     integer("operand-log-kb", "operand log size per SM in KB "
             "(operand-log scheme)", 1, 1 << 20,
             GETSET_KB(cfg.operandLogBytes), "--log-kb");

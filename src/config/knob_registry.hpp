@@ -103,8 +103,9 @@ struct Knob {
 
     /**
      * Execution-only: changes how a run executes but provably not its
-     * results (sm-threads). Excluded from the result digest and the
-     * resolved_config manifest — a campaign resumes at any value.
+     * results (check, check.violate). Excluded from the result digest
+     * and the resolved_config manifest — a campaign resumes at any
+     * value.
      */
     bool execOnly = false;
     /**

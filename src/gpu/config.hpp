@@ -112,16 +112,8 @@ struct SmConfig {
 /** Whole-GPU configuration (paper Table 1, System section). */
 struct GpuConfig {
     int numSms = 16;
-    /**
-     * Worker threads ticking the SM-local pipeline phase of one run
-     * (gpu::Gpu::run's phased tick engine). 1 (the default) keeps the
-     * fully serial driver; values above numSms or the host's core
-     * count are clamped (extra threads are pure overhead). Results
-     * are bit-identical at every setting: shared-resource accesses
-     * (L2, DRAM, MMU, TB scheduler, observer) are drained serially in
-     * ascending SM order regardless of the thread count. Composes
-     * with sweep-engine --jobs; total concurrency is jobs × smThreads.
-     */
+    /** Unused and unregistered; kept only because perfbench/gexbench.cpp
+     *  assigns it. Removed with the next change to the benchmark. */
     int smThreads = 1;
     SmConfig sm;
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "check/sanitizer.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
-#include "common/task_pool.hpp"
 
 namespace gex::gpu {
 
@@ -182,30 +180,6 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
         }
     }
 
-    // Phased tick engine (see docs/PERFORMANCE.md): per global cycle,
-    // a serial events phase (ascending SM), a parallel SM-local
-    // compute phase, then a serial drain of staged shared-resource
-    // accesses (ascending SM). The drain order equals the access
-    // order of the fully serial tick, so every smThreads setting —
-    // including 1, which skips the pool entirely — produces
-    // bit-identical results.
-    const int nsm = static_cast<int>(sms_.size());
-    // Also clamp to the host's core count: ticking with more threads
-    // than cores is pure oversubscription — the per-cycle dispatch
-    // handshake degenerates into scheduler churn (pathological under
-    // a single-core CPU quota). Unobservable in any output: results
-    // are smThreads-independent by the contract above.
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    const int threads = std::max(
-        1, std::min({cfg_.smThreads, nsm, hw > 0 ? hw : cfg_.smThreads}));
-    std::unique_ptr<common::TaskPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<common::TaskPool>(threads);
-    struct TickCtx {
-        std::unique_ptr<sm::Sm> *sms;
-        Cycle now;
-    } tctx{sms_.data(), 0};
-
     // Forward-progress watchdog (docs/ROBUSTNESS.md): the run loop
     // pays one predictable `now >= checkAt` branch per cycle; the
     // actual progress scan (summing commits and retired blocks across
@@ -252,31 +226,16 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
             wdCheckAt = now + wdWindow;
             checkAt = std::min(wdCheckAt, budget);
         }
-        for (auto &s : sms_)
-            s->tickEvents(now);
-        if (pool) {
-            tctx.now = now;
-            pool->run(nsm,
-                      [](void *c, int i) {
-                          TickCtx *t = static_cast<TickCtx *>(c);
-                          t->sms[i]->tickCompute(t->now);
-                      },
-                      &tctx);
-        } else {
-            for (auto &s : sms_)
-                s->tickCompute(now);
-        }
+        // One serial tick per SM in ascending index order. Shared
+        // resources (TB scheduler, L2, DRAM, MMU) therefore see SM 0's
+        // accesses for a cycle before SM 1's, every run.
         bool any = false;
         bool released = false;
         for (auto &s : sms_) {
-            s->drainShared(now);
+            s->tick(now);
             any |= s->didWork();
             released |= s->slotReleased();
         }
-        // Violations recorded during the parallel compute phase are
-        // raised here, in the serial section of the same cycle.
-        if (san_)
-            san_->throwDeferred();
         // allDone() scans every SM; it can only flip true in a cycle
         // that emptied a TB slot (or when the machine was idle to
         // begin with), so the scan is gated on those cases instead of
@@ -378,12 +337,6 @@ Cycle
 Gpu::bulkDramTraffic(Cycle earliest, std::uint64_t bytes)
 {
     return dram_->bulkTransfer(earliest, bytes);
-}
-
-int
-Gpu::pendingFaults(Cycle now)
-{
-    return mmu_->pendingFaults(now);
 }
 
 } // namespace gex::gpu

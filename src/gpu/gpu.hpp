@@ -91,7 +91,6 @@ class Gpu : public sm::MemorySystem
     Cycle l2Atomic(Addr line, Cycle earliest) override;
     vm::Translation translatePage(Addr page, Cycle earliest) override;
     Cycle bulkDramTraffic(Cycle earliest, std::uint64_t bytes) override;
-    int pendingFaults(Cycle now) override;
 
   private:
     void reset(const func::Kernel &kernel,

@@ -103,10 +103,10 @@ specDigest(const RunSpec &spec)
     // outcome of a point, including the watchdog/budget knobs that
     // decide how a non-terminating point is classified) hashed as
     // (name, typed value) in registry order. Execution-only knobs
-    // (GpuConfig::smThreads, and the engine's --jobs) are excluded by
-    // the registry — pure parallelism with bit-identical results — as
-    // are the group/series labels, which are naming only (and already
-    // part of the point key). A new knob registration automatically
+    // (--check) are excluded by the registry, and the engine's --jobs
+    // never reaches a spec: neither changes results. The group/series
+    // labels are excluded too: they are naming only (and already part
+    // of the point key). A new knob registration automatically
     // lands here; it can never silently be excluded from resume
     // keying. Hashing names alongside values also means a journal
     // written before a knob existed never resumes against a binary

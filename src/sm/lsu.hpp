@@ -33,7 +33,6 @@ class MemorySystem
     virtual Cycle l2Atomic(Addr line, Cycle earliest) = 0;
     virtual vm::Translation translatePage(Addr page, Cycle earliest) = 0;
     virtual Cycle bulkDramTraffic(Cycle earliest, std::uint64_t bytes) = 0;
-    virtual int pendingFaults(Cycle now) = 0;
 };
 
 /** Computed timeline of one global-memory warp instruction. */

@@ -73,7 +73,7 @@ PipelineState::emitWarpSlow(Cycle now, obs::PipeEventKind k, int w,
     e.warp = w;
     e.kind = k;
     e.arg = arg;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 void
@@ -90,7 +90,7 @@ PipelineState::emitInstSlow(Cycle now, obs::PipeEventKind k,
     e.traceIdx = in.traceIdx;
     e.staticIdx = in.ti ? in.ti->staticIdx() : obs::PipeEvent::kNoIndex;
     e.arg = arg;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 void
@@ -107,7 +107,7 @@ PipelineState::emitFetchSlow(Cycle now, obs::PipeEventKind k, int w,
     e.traceIdx = trace_idx;
     e.staticIdx = static_idx;
     e.arg = arg;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 void
@@ -120,7 +120,7 @@ PipelineState::emitBlockSlow(Cycle now, obs::PipeEventKind k, int slot,
     e.slot = static_cast<std::int16_t>(slot);
     e.kind = k;
     e.arg = block_id;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 } // namespace gex::sm

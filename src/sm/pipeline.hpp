@@ -167,34 +167,6 @@ struct OffchipBlock {
 };
 
 /**
- * One shared-memory-system operation staged by the SM-local tick
- * phases for the serial drain phase (Sm::drainShared). The phased
- * tick engine keeps L2/DRAM/MMU port reservations in ascending-SM
- * FIFO order — the exact order the unsplit serial tick produced — by
- * recording each would-be access here instead of performing it
- * in-place, together with the event sequence number(s) reserved at
- * the original call site so the resulting events keep their exact
- * position in the (cycle, seq) total order.
- */
-struct StagedOp {
-    enum class Kind : std::uint8_t {
-        /** Global-memory instruction: LSU translate + cache access
-         *  (deferred tail of IssueStage::tryIssueHead; two seqs
-         *  reserved, LastCheck/FaultReact then Commit). */
-        Mem,
-        /** Context save/restore bulk DRAM transfer (deferred from the
-         *  SaveReady handler / fillEmptySlots; one seq reserved for
-         *  the completion event). */
-        Bulk,
-    };
-    Kind kind;
-    EvKind doneKind;    ///< Bulk: SaveDone or RestoreDone
-    std::int32_t arg;   ///< Bulk: slot; Mem: warp
-    std::uint32_t id;   ///< Mem: inflight id; Bulk: restore id payload
-    std::uint64_t seq;  ///< first reserved event sequence number
-};
-
-/**
  * Everything the stage modules share. Helpers that run on the
  * fetch/issue/event hot paths are defined inline here so the stage
  * split does not cost the timing loop any cross-module calls.
@@ -271,15 +243,6 @@ struct PipelineState {
      */
     bool slotReleased = false;
 
-    /**
-     * Shared-resource operations staged by this cycle's SM-local
-     * phases, in program order (event-handler stagings first, then at
-     * most one issued memory instruction). Drained FIFO by
-     * Sm::drainShared in ascending SM order and always empty between
-     * cycles.
-     */
-    std::vector<StagedOp> staged;
-
     /** Attached observer; nullptr (the default) disables all tracing. */
     obs::PipelineObserver *obs = nullptr;
     /**
@@ -288,14 +251,6 @@ struct PipelineState {
      * predicted-not-taken branch per scheduled event.
      */
     check::SimSanitizer *san = nullptr;
-    /**
-     * Events emitted this cycle, buffered until this SM's drain phase
-     * so parallel SM-local phases never call the (shared) observer
-     * concurrently. Flushing in ascending SM order per cycle replays
-     * the exact sequence the serial tick delivered. Empty whenever no
-     * observer is attached (the emit guards never run).
-     */
-    std::vector<obs::PipeEvent> obsBuf;
 
     // statistics
     std::uint64_t instsCommitted = 0;
@@ -424,42 +379,6 @@ struct PipelineState {
     }
 
     /**
-     * Reserve @p n consecutive event sequence numbers for a StagedOp.
-     * Taking them at the original (staging) call site keeps the
-     * (cycle, seq) tie-break order of the later-materialized events
-     * identical to the unstaged schedule; an unused reserved seq (the
-     * faulted-instruction case) leaves a harmless gap.
-     */
-    std::uint64_t
-    reserveSeq(std::uint64_t n = 1)
-    {
-        std::uint64_t first = eventSeq + 1;
-        eventSeq += n;
-        return first;
-    }
-
-    /** Materialize a staged event with its reserved seq. */
-    void
-    scheduleEventAt(Cycle cycle, std::uint64_t seq, EvKind kind,
-                    std::int32_t arg, std::uint32_t id)
-    {
-        events.push(Event{cycle, seq, kind, arg, id});
-        if (san)
-            sanEventScheduled(cycle, seq, kind);
-    }
-
-    /** Same, referencing inflight record @p id. */
-    void
-    scheduleInstEventAt(Cycle cycle, std::uint64_t seq, EvKind kind,
-                        std::int32_t arg, std::uint32_t id)
-    {
-        events.push(Event{cycle, seq, kind, arg, id});
-        ++pool[id].eventsLeft;
-        if (san)
-            sanEventScheduled(cycle, seq, kind);
-    }
-
-    /**
      * Un-fetch a warp's decoded-instruction buffer: rewind fetchIdx to
      * the buffer head and drop the control-pending counts the buffered
      * instructions contributed (squash and drain paths).
@@ -482,9 +401,8 @@ struct PipelineState {
 
     // --- observer emission ---------------------------------------------
     // One predicted-not-taken branch when no observer is attached; the
-    // event construction lives out of line. Emission appends to obsBuf
-    // (fields captured at emit time); the virtual observer dispatch
-    // happens when Sm::drainShared flushes the buffer.
+    // event construction and the virtual observer dispatch live out of
+    // line.
 
     /** Warp-level event (slot taken from the warp's runtime state). */
     void

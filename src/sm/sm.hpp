@@ -48,37 +48,12 @@ class Sm
     bool launchBlock(const trace::BlockTrace *bt, Cycle now);
 
     /**
-     * Advance one cycle; sets didWork() when any state changed.
-     * Equivalent to tickEvents + tickCompute + drainShared (the serial
-     * composition of the phased engine below).
+     * Advance one cycle: dispatch due events (block lifecycle, TB
+     * scheduler refills, context-switch traffic), then fetch and
+     * issue. Sets didWork() when any state changed.
      */
     void tick(Cycle now);
     bool didWork() const { return st_.didWork; }
-
-    // --- phased tick engine (see docs/PERFORMANCE.md) --------------------
-    // One global cycle is three phases, driven by gpu::Gpu::run:
-    //   E  tickEvents   serial, ascending SM — event dispatch, block
-    //                   lifecycle, TB-scheduler grabs; shared bulk-DRAM
-    //                   calls are staged, not performed
-    //   C  tickCompute  parallel over SMs — fetch/decode/issue against
-    //                   SM-private state only; the memory-system tail
-    //                   of an issued global instruction is staged
-    //   D  drainShared  serial, ascending SM — performs the staged
-    //                   L2/DRAM/MMU accesses in FIFO order and flushes
-    //                   buffered observer events
-    // Draining in ascending SM index reproduces the shared-resource
-    // access order of the serial tick exactly, so results are
-    // bit-identical at any thread count.
-
-    /** Phase E: dispatch due events (serial; touches the shared TB
-     *  scheduler, stages bulk context-switch traffic). */
-    void tickEvents(Cycle now);
-    /** Phase C: SM-local pipeline stages (safe to run in parallel
-     *  with other SMs' compute phases). */
-    void tickCompute(Cycle now);
-    /** Phase D: perform staged shared-memory-system operations and
-     *  flush buffered observer events (serial). */
-    void drainShared(Cycle now);
     /** A TB slot went Empty this cycle (gates Gpu::allDone scans). */
     bool slotReleased() const { return st_.slotReleased; }
 
@@ -150,6 +125,9 @@ class Sm
     // --- UC1: block switching --------------------------------------------
     void beginDrain(int slot, Cycle now);
     Cycle drainTime(int slot) const;
+    /** Move one block's context to or from DRAM (non-ideal switch);
+     *  returns the cycle the transfer and its fixed overhead end. */
+    Cycle moveContext(Cycle now);
 
     PipelineState st_;
     MemorySystem &sys_;

@@ -24,9 +24,9 @@ IssueStage::tick(Cycle now)
     // lsuWaiting while the LSU is closed, would fail again with exactly
     // one stall increment, so each range the scan passes over adds the
     // popcount of those masks instead; issueIdle warps would add
-    // nothing. The LSU can only go from open to closed within one
-    // compute phase (first memory issue, inflightMem increments), so
-    // its state is refreshed after every visit that issued.
+    // nothing. The LSU can only go from open to closed within one tick
+    // (first memory issue, inflightMem increments), so its state is
+    // refreshed after every visit that issued.
     const int depth = st_.cfg.sm.lsuQueueDepth;
     bool lsu_closed = false;
     bool lsu_counts = false; // a refusal would count as stallLsuQueue
@@ -180,14 +180,29 @@ IssueStage::tryIssueHead(int w, Cycle now)
     if (is_global) {
         st_.lsuIssuedAt = now;
         ++st_.inflightMem;
-        // The LSU tail (translation through the shared MMU, L2/DRAM
-        // access) runs in the serial drain phase; stage it with two
-        // reserved seqs so the LastCheck-then-Commit (or FaultReact)
-        // events sort exactly where the in-place calls put them. The
-        // timeline feeds only strictly-future events, so nothing else
-        // this cycle needs it.
-        st_.staged.push_back({StagedOp::Kind::Mem, EvKind::LastCheck, w,
-                              id, st_.reserveSeq(2)});
+        // LSU: translation through the L1 TLB and the shared MMU, then
+        // the cache hierarchy. The timeline sets the LastCheck and
+        // Commit events, or the FaultReact of a faulting request.
+        trace::LineBuf buf;
+        const Addr *lines = wr.tr->lines(idx, buf).data();
+        in.mem = st_.lsu.processGlobal(si, ti, lines, op_read,
+                                       st_.policy.stallFaultsInPipeline(),
+                                       st_.cfg.faultRetryLatency);
+        if (in.mem.faulted) {
+            if (st_.san)
+                st_.san->onFaultedTranslation(st_.smId, w,
+                                              in.mem.faultPage,
+                                              st_.lsu.l1Tlb(), now);
+            st_.scheduleInstEvent(in.mem.faultDetect, EvKind::FaultReact,
+                                  w, id);
+            wr.maxCommitScheduled =
+                std::max(wr.maxCommitScheduled, in.mem.faultDetect);
+        } else {
+            st_.scheduleInstEvent(in.mem.lastTlbCheck, EvKind::LastCheck,
+                                  w, id);
+            in.commitAt = in.mem.execDone + 1;
+            st_.scheduleInstEvent(in.commitAt, EvKind::Commit, w, id);
+        }
         // Source release point depends on the scheme. Under the
         // replay-queue scheme, sources of a faulted instruction stay
         // held until it is squashed (its last TLB check never comes).
@@ -248,12 +263,7 @@ IssueStage::tryIssueHead(int w, Cycle now)
     }
 
     ++wr.inflight;
-    // Global-memory instructions extend maxCommitScheduled in the
-    // drain phase, once their timeline exists; no reader runs before
-    // then (the drain-time users all live in the events phase).
-    if (!is_global)
-        wr.maxCommitScheduled =
-            std::max(wr.maxCommitScheduled, in.commitAt);
+    wr.maxCommitScheduled = std::max(wr.maxCommitScheduled, in.commitAt);
     ++st_.instsIssued;
     st_.didWork = true;
     return true;

@@ -158,7 +158,6 @@ class NoMemory : public sm::MemorySystem
     Cycle l2Atomic(Addr, Cycle t) override { return t; }
     vm::Translation translatePage(Addr, Cycle) override { return {}; }
     Cycle bulkDramTraffic(Cycle t, std::uint64_t) override { return t; }
-    int pendingFaults(Cycle) override { return 0; }
 };
 
 TEST(WarpMaskCoherence, FlippedBitTripsTheChecker)
@@ -312,13 +311,11 @@ TEST(FuzzCampaign, GenerationIsDeterministic)
 
 TEST(FuzzCampaign, QuickDifferentialCampaignPasses)
 {
-    // Two seeded cases, all five schemes each, sanitizer + oracle +
-    // smThreads 1-vs-4 bit-identity. Any divergence fails the test
-    // with the full failure report.
+    // Two seeded cases, all five schemes each, sanitizer + oracle. Any
+    // violation fails the test with the full failure report.
     check::FuzzOptions opt;
     opt.seed = 42;
     opt.cases = 2;
-    opt.smThreadsAlt = 4;
     opt.workloads = {"bfs", "spmv"};
     check::FuzzCampaign camp(opt);
     check::FuzzFailure fail;
@@ -330,7 +327,6 @@ TEST(FuzzCampaign, SeededFailureShrinksToAReplayableSpec)
 {
     check::FuzzOptions opt;
     opt.seed = 5;
-    opt.smThreadsAlt = 1; // the violation trips on the first run
     check::FuzzCampaign camp(opt);
 
     // A hand-built failing case with noise knobs the shrinker should

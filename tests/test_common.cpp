@@ -1,15 +1,12 @@
-/** @file Unit tests: common utilities (stats, rng, math, types, task pool). */
+/** @file Unit tests: common utilities (stats, rng, math, types). */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
-#include <vector>
 
 #include "common/stats.hpp"
-#include "common/task_pool.hpp"
 #include "common/types.hpp"
 
 namespace gex {
@@ -133,97 +130,6 @@ TEST(Types, PageAndLineHelpers)
     EXPECT_EQ(lineOf(127), 0u);
     EXPECT_EQ(lineOf(128), 128u);
     EXPECT_EQ(lineOf(255), 128u);
-}
-
-TEST(TaskPool, RunsEveryIndexExactlyOnce)
-{
-    common::TaskPool pool(4);
-    struct Ctx {
-        std::vector<std::atomic<int>> hits;
-        Ctx() : hits(257) {}
-    } ctx;
-    pool.run(257,
-             [](void *c, int i) {
-                 static_cast<Ctx *>(c)->hits[static_cast<size_t>(i)]
-                     .fetch_add(1);
-             },
-             &ctx);
-    for (const auto &h : ctx.hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(TaskPool, ReusableAcrossManyRounds)
-{
-    // Same pool, many run() calls — the per-cycle usage pattern of the
-    // phased tick engine. Also covers n smaller than the thread count
-    // and n == 0.
-    common::TaskPool pool(3);
-    std::atomic<long> sum{0};
-    long expect = 0;
-    for (int round = 0; round < 200; ++round) {
-        int n = round % 7; // 0..6 items on 3 threads
-        expect += n;
-        pool.run(n,
-                 [](void *c, int) {
-                     static_cast<std::atomic<long> *>(c)->fetch_add(1);
-                 },
-                 &sum);
-    }
-    EXPECT_EQ(sum.load(), expect);
-}
-
-TEST(TaskPool, SingleThreadRunsInline)
-{
-    common::TaskPool pool(1);
-    std::atomic<int> hits{0};
-    pool.run(16,
-             [](void *c, int) {
-                 static_cast<std::atomic<int> *>(c)->fetch_add(1);
-             },
-             &hits);
-    EXPECT_EQ(hits.load(), 16);
-}
-
-TEST(TaskPool, CallerSeesWorkerWrites)
-{
-    // run() must publish worker writes to the caller (the drain phase
-    // reads staged state written by compute workers).
-    common::TaskPool pool(4);
-    std::vector<int> data(1024, 0);
-    pool.run(1024,
-             [](void *c, int i) {
-                 (*static_cast<std::vector<int> *>(c))[static_cast<size_t>(
-                     i)] = i * 3;
-             },
-             &data);
-    for (int i = 0; i < 1024; ++i)
-        ASSERT_EQ(data[static_cast<size_t>(i)], i * 3);
-}
-
-TEST(TaskPool, HundredThousandBackToBackDispatches)
-{
-    // Back-to-back dispatches alternating between two jobs and cycling
-    // the size: a worker still leaving one dispatch must never claim
-    // an index of the next (an index run twice, or under the wrong
-    // job) nor lose a completion to the next reset (a hang). Built
-    // directly with 4 threads, so real workers run on any host.
-    common::TaskPool pool(4);
-    struct Job {
-        int hits[16] = {};
-    };
-    Job jobs[2];
-    for (int d = 0; d < 100000; ++d) {
-        Job &job = jobs[d & 1];
-        const int n = 1 + d % 16;
-        pool.run(n,
-                 [](void *c, int i) { ++static_cast<Job *>(c)->hits[i]; },
-                 &job);
-        for (int i = 0; i < 16; ++i) {
-            ASSERT_EQ(job.hits[i], i < n ? 1 : 0)
-                << "dispatch " << d << " index " << i;
-            job.hits[i] = 0;
-        }
-    }
 }
 
 } // namespace

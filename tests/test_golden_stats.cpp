@@ -117,28 +117,21 @@ const GoldenPoint kGolden[] = {
 TEST(GoldenStats, EveryPointBitIdenticalToCapturedBaseline)
 {
     harness::TraceCache cache; // share each workload's trace across points
-    // The phased tick engine promises bit-identical results at any
-    // smThreads setting, so the golden table must hold at each one.
-    for (int smThreads : {1, 4, 8}) {
-        for (const GoldenPoint &pt : kGolden) {
-            SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme +
-                         "/" + pt.policy +
-                         (pt.blockSwitching ? "/bs" : "") +
-                         "/smThreads=" + std::to_string(smThreads));
-            const harness::TracedWorkload &tw = cache.get(pt.workload);
-            gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
-            cfg.scheme = gpu::schemeFromName(pt.scheme);
-            cfg.blockSwitching = pt.blockSwitching;
-            cfg.smThreads = smThreads;
-            gpu::Gpu g(cfg);
-            gpu::SimResult r =
-                g.run(tw.kernel, tw.trace, policyByName(pt.policy));
-            EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
-            EXPECT_EQ(r.instructions, pt.instructions);
-            EXPECT_EQ(digestStats(r), pt.statsDigest)
-                << "a statistic changed value — the timing refactor is "
-                   "no longer behavior-neutral";
-        }
+    for (const GoldenPoint &pt : kGolden) {
+        SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme + "/" +
+                     pt.policy + (pt.blockSwitching ? "/bs" : ""));
+        const harness::TracedWorkload &tw = cache.get(pt.workload);
+        gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+        cfg.scheme = gpu::schemeFromName(pt.scheme);
+        cfg.blockSwitching = pt.blockSwitching;
+        gpu::Gpu g(cfg);
+        gpu::SimResult r =
+            g.run(tw.kernel, tw.trace, policyByName(pt.policy));
+        EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
+        EXPECT_EQ(r.instructions, pt.instructions);
+        EXPECT_EQ(digestStats(r), pt.statsDigest)
+            << "a statistic changed value — the timing refactor is "
+               "no longer behavior-neutral";
     }
 }
 
@@ -181,33 +174,29 @@ const OccupiedPoint kOccupied[] = {
 TEST(GoldenStats, OccupiedAndWideSmsBitIdenticalToCapturedBaseline)
 {
     harness::TraceCache cache;
-    for (int smThreads : {1, 4, 8}) {
-        for (const OccupiedPoint &pt : kOccupied) {
-            SCOPED_TRACE(std::string(pt.workload) + "x" +
-                         std::to_string(pt.scale) + "/" + pt.scheme +
-                         "/sms=" + std::to_string(pt.sms) +
-                         (pt.gto ? "/gto" : "") + (pt.wide ? "/wide" : "") +
-                         "/smThreads=" + std::to_string(smThreads));
-            const harness::TracedWorkload &tw =
-                cache.get(pt.workload, pt.scale);
-            gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
-            cfg.scheme = gpu::schemeFromName(pt.scheme);
-            cfg.numSms = pt.sms;
-            if (pt.gto)
-                cfg.sm.schedPolicy = gpu::SchedPolicy::GreedyThenOldest;
-            if (pt.wide) {
-                cfg.sm.maxWarps = 128;
-                cfg.sm.maxThreadBlocks = 32;
-                cfg.sm.registerFileBytes *= 2;
-                cfg.sm.sharedMemBytes *= 2;
-            }
-            cfg.smThreads = smThreads;
-            gpu::Gpu g(cfg);
-            gpu::SimResult r = g.run(tw.kernel, tw.trace);
-            EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
-            EXPECT_EQ(r.instructions, pt.instructions);
-            EXPECT_EQ(digestStats(r), pt.statsDigest);
+    for (const OccupiedPoint &pt : kOccupied) {
+        SCOPED_TRACE(std::string(pt.workload) + "x" +
+                     std::to_string(pt.scale) + "/" + pt.scheme +
+                     "/sms=" + std::to_string(pt.sms) +
+                     (pt.gto ? "/gto" : "") + (pt.wide ? "/wide" : ""));
+        const harness::TracedWorkload &tw =
+            cache.get(pt.workload, pt.scale);
+        gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+        cfg.scheme = gpu::schemeFromName(pt.scheme);
+        cfg.numSms = pt.sms;
+        if (pt.gto)
+            cfg.sm.schedPolicy = gpu::SchedPolicy::GreedyThenOldest;
+        if (pt.wide) {
+            cfg.sm.maxWarps = 128;
+            cfg.sm.maxThreadBlocks = 32;
+            cfg.sm.registerFileBytes *= 2;
+            cfg.sm.sharedMemBytes *= 2;
         }
+        gpu::Gpu g(cfg);
+        gpu::SimResult r = g.run(tw.kernel, tw.trace);
+        EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
+        EXPECT_EQ(r.instructions, pt.instructions);
+        EXPECT_EQ(digestStats(r), pt.statsDigest);
     }
 }
 

@@ -57,7 +57,6 @@ class MockSys : public MemorySystem
     {
         return earliest;
     }
-    int pendingFaults(Cycle) override { return 0; }
 
     std::set<Addr> faultPages;
     Cycle faultResolve = 50000;

@@ -7,8 +7,7 @@
  *
  *  - the runtime protocol/structural invariants (SimSanitizer),
  *  - the architectural oracle (functional replay + retired-instruction
- *    coverage), and
- *  - smThreads 1-vs-N bit-identity of the full statistics set.
+ *    coverage).
  *
  * On the first failure the case is greedily shrunk to a minimal
  * reproducer, written as a JSON spec `gexsim-run --config FILE`
@@ -36,7 +35,6 @@ struct Options {
     std::string reproPath = "gexsim-check-repro.json";
     std::string jsonPath;
     bool captureEvents = true;
-    int smThreadsAlt = 4;
     bool quick = false;
     bool listCases = false;
 };
@@ -48,8 +46,8 @@ toolMain(int argc, char **argv)
 
     cli::ArgParser p("gexsim-check",
                      "differential fuzz campaigns over the simulator: "
-                     "sanitizer + architectural oracle + smThreads "
-                     "bit-identity on random configuration points");
+                     "sanitizer + architectural oracle on random "
+                     "configuration points");
     p.synopsis("gexsim-check [--seed N] [--cases N] [--quick] "
                "[--repro FILE]");
     p.option("--seed", "N", "campaign seed (default 1)",
@@ -70,34 +68,24 @@ toolMain(int argc, char **argv)
              [&](const std::string &v) { o.reproPath = v; });
     p.option("--json", "FILE", "write a campaign summary as JSON",
              [&](const std::string &v) { o.jsonPath = v; });
-    p.option("--sm-threads-alt", "N",
-             "second thread count for the bit-identity diff "
-             "(default 4; 1 disables)",
-             [&](const std::string &v) {
-                 o.smThreadsAlt =
-                     cli::parseIntFlag("--sm-threads-alt", v, 1, 256);
-             });
     p.flag("--no-capture-events",
            "run without the last-K event ring (reports lose the "
            "event tail)",
            [&] { o.captureEvents = false; });
-    p.flag("--quick", "CI smoke: 6 cases, alt thread count 2",
+    p.flag("--quick", "CI smoke: 6 cases",
            [&] { o.quick = true; });
     p.flag("--list-cases",
            "print the generated cases without running them",
            [&] { o.listCases = true; });
     p.parse(argc, argv);
 
-    if (o.quick) {
+    if (o.quick)
         o.cases = 6;
-        o.smThreadsAlt = 2;
-    }
 
     check::FuzzOptions fo;
     fo.seed = o.seed;
     fo.cases = o.cases;
     fo.captureEvents = o.captureEvents;
-    fo.smThreadsAlt = o.smThreadsAlt;
     if (!o.workloadsCsv.empty())
         fo.workloads = cli::splitCsv(o.workloadsCsv);
 
@@ -113,10 +101,9 @@ toolMain(int argc, char **argv)
         return 0;
     }
 
-    std::printf("gexsim-check: seed %llu, %d cases x %zu schemes, "
-                "smThreads 1 vs %d\n",
+    std::printf("gexsim-check: seed %llu, %d cases x %zu schemes\n",
                 static_cast<unsigned long long>(o.seed), o.cases,
-                gpu::allSchemes().size(), o.smThreadsAlt);
+                gpu::allSchemes().size());
 
     int passed = 0;
     check::FuzzFailure fail;
