@@ -39,9 +39,16 @@ TraceCache::get(const std::string &name, int scale)
         e = slot.get();
     }
     // Build outside the map lock so distinct workloads trace
-    // concurrently; call_once serializes builders of the same one.
-    std::call_once(e->once,
-                   [&] { e->tw = buildTraced(name, scale); });
+    // concurrently; the entry's mutex serializes builders of the same
+    // one. A build that throws leaves the entry unbuilt, so a retried
+    // point builds again. (Not std::call_once: under ThreadSanitizer a
+    // once_flag whose callable threw is never released, and the retry
+    // hangs.)
+    std::lock_guard<std::mutex> lock(e->mu);
+    if (!e->built) {
+        e->tw = buildTraced(name, scale);
+        e->built = true;
+    }
     return e->tw;
 }
 

@@ -65,7 +65,8 @@ class TraceCache
 
   private:
     struct Entry {
-        std::once_flag once;
+        std::mutex mu;
+        bool built = false;
         TracedWorkload tw;
     };
 
