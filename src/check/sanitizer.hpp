@@ -16,6 +16,8 @@
  *    the TLB never caching a faulting translation;
  *  - warp-mask coherence (checkWarpMasks): the fetch/issue scan
  *    gates still describe the warps they let the scans pass over;
+ *  - idle-tick replay (checkIdleReplay): a tick the run loop would
+ *    have replayed does exactly what the replay does;
  *  - drain checkers (checkDrained/finishRun): leak detection over the
  *    in-flight pool, scoreboard, replay queues, operand log, MSHRs
  *    and TLB miss queues once the machine claims quiescence.
@@ -52,6 +54,7 @@ class Tlb;
 class SystemMmu;
 }
 namespace gex::sm {
+struct IdleCounters;
 struct PipelineState;
 }
 
@@ -111,6 +114,19 @@ class SimSanitizer : public obs::PipelineObserver
      * SM tick.
      */
     void checkWarpMasks(const sm::PipelineState &st, Cycle now) const;
+
+    /**
+     * Idle-tick replay (docs/PERFORMANCE.md, "Idle-SM tick replay"):
+     * the SM behind @p st just ticked for real at @p now, before the
+     * wake cycle @p wake its last idle tick returned, where the run
+     * loop would otherwise have added that tick's increments
+     * @p recorded. The real tick must have done no work, returned
+     * the same wake cycle (@p woke) and moved the IdleCounters by
+     * exactly @p recorded (@p moved). Throws InvariantError otherwise.
+     */
+    void checkIdleReplay(const sm::PipelineState &st, Cycle now,
+                         Cycle wake, const sm::IdleCounters &recorded,
+                         Cycle woke, const sm::IdleCounters &moved) const;
 
     /**
      * Drain checker over one SM's pipeline state after the run loop

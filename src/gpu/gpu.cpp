@@ -228,30 +228,31 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
         }
         // One serial tick per SM in ascending index order. Shared
         // resources (TB scheduler, L2, DRAM, MMU) therefore see SM 0's
-        // accesses for a cycle before SM 1's, every run.
-        bool any = false;
+        // accesses for a cycle before SM 1's, every run. An SM before
+        // its wake cycle would repeat its last idle tick exactly, so
+        // only that tick's counter increments are added; under --check
+        // it ticks for real and the sanitizer compares the two.
         bool released = false;
+        Cycle next = kNoCycle;
         for (auto &s : sms_) {
-            s->tick(now);
-            any |= s->didWork();
-            released |= s->slotReleased();
+            Cycle wake = s->wakeCycle();
+            if (now < wake && !san_) {
+                s->replayIdleTick();
+            } else {
+                wake = s->tick(now);
+                released |= s->slotReleased();
+            }
+            next = std::min(next, wake);
         }
         // allDone() scans every SM; it can only flip true in a cycle
         // that emptied a TB slot (or when the machine was idle to
-        // begin with), so the scan is gated on those cases instead of
-        // running every cycle.
+        // begin with, and so has no events), so the scan is gated on
+        // those cases instead of running every cycle.
         if (released && allDone())
             break;
-        if (any) {
-            ++now;
-            continue;
-        }
-        if (allDone())
-            break;
-        Cycle nxt = kNoCycle;
-        for (auto &s : sms_)
-            nxt = std::min(nxt, s->nextEventCycle());
-        if (nxt == kNoCycle) {
+        if (next == kNoCycle) {
+            if (allDone())
+                break;
             // Warps are resident but nothing can ever run again: a
             // survivable, classifiable event — the harness records the
             // point and the campaign continues (docs/ROBUSTNESS.md).
@@ -264,7 +265,7 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
                           static_cast<unsigned long long>(now)),
                 std::move(ctx), diagnose(now));
         }
-        now = std::max(now + 1, nxt);
+        now = std::max(now + 1, next);
     }
 
     if (san_) {

@@ -34,6 +34,7 @@ Sm::beginKernel(const LaunchInfo &li)
     st_.offchip.clear();
     st_.extraBlocksBrought = 0;
     st_.slotRetryAt = kNoCycle;
+    wakeAt_ = 0;
     if (st_.policy.usesOperandLog)
         st_.log.configure(st_.cfg.operandLogBytes, li.blocksPerSm);
 }
@@ -119,14 +120,9 @@ Sm::busy() const
 }
 
 Cycle
-Sm::nextEventCycle() const
-{
-    return st_.events.empty() ? kNoCycle : st_.events.top().cycle;
-}
-
-void
 Sm::tick(Cycle now)
 {
+    const IdleCounters before = st_.idleCounters();
     st_.didWork = false;
     st_.slotReleased = false;
     if (st_.san)
@@ -134,8 +130,24 @@ Sm::tick(Cycle now)
     processEvents(now);
     fetch_.tick(now);
     issue_.tick(now);
-    if (st_.san)
+    // Nothing outside this SM schedules into its heap, and every
+    // time-based gate (fetchResumeAt, blockedUntil) has its own
+    // WarpResume event, so an idle tick changes nothing until the
+    // next event.
+    const Cycle wake = st_.didWork ? now + 1
+                       : st_.events.empty() ? kNoCycle
+                                            : st_.events.top().cycle;
+    const IdleCounters moved = st_.idleCounters() - before;
+    if (st_.san) {
         st_.san->checkWarpMasks(st_, now);
+        if (now < wakeAt_)
+            st_.san->checkIdleReplay(st_, now, wakeAt_, idleDelta_,
+                                     wake, moved);
+    }
+    if (!st_.didWork)
+        idleDelta_ = moved;
+    wakeAt_ = wake;
+    return wake;
 }
 
 // ---------------------------------------------------------------------------

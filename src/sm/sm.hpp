@@ -50,15 +50,22 @@ class Sm
     /**
      * Advance one cycle: dispatch due events (block lifecycle, TB
      * scheduler refills, context-switch traffic), then fetch and
-     * issue. Sets didWork() when any state changed.
+     * issue. Returns the next cycle this SM must really tick: now + 1
+     * after a tick that changed state, otherwise its next event
+     * (kNoCycle when it has none). Each tick before that cycle would
+     * repeat this idle one exactly, so the run loop calls
+     * replayIdleTick() instead (docs/PERFORMANCE.md, "Idle-SM tick
+     * replay"). Under --check the sanitizer compares such a tick, if
+     * it is run for real, with its replay.
      */
-    void tick(Cycle now);
-    bool didWork() const { return st_.didWork; }
+    Cycle tick(Cycle now);
+    /** The cycle the last tick() returned. */
+    Cycle wakeCycle() const { return wakeAt_; }
+    /** Stand in for a tick before wakeCycle(): add the last idle
+     *  tick's counter increments. */
+    void replayIdleTick() { st_.addIdleCounters(idleDelta_); }
     /** A TB slot went Empty this cycle (gates Gpu::allDone scans). */
     bool slotReleased() const { return st_.slotReleased; }
-
-    /** Earliest future event, or kNoCycle when quiescent. */
-    Cycle nextEventCycle() const;
 
     /** True while any block is resident or switched out. */
     bool busy() const;
@@ -130,6 +137,9 @@ class Sm
     Cycle moveContext(Cycle now);
 
     PipelineState st_;
+    Cycle wakeAt_ = 0;
+    /** IdleCounters increments of the last idle tick. */
+    IdleCounters idleDelta_;
     MemorySystem &sys_;
     BlockSupply &supply_;
 
