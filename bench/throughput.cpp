@@ -3,14 +3,14 @@
  * Self-measuring simulator-throughput harness (gexsim-throughput):
  * runs a fixed grid of timing simulations, serially and through the
  * parallel sweep engine, and reports simulated kcycles per wall
- * second against the recorded pre-optimization baseline. This is the
- * regression gate for hot-path work on the timing loop: the simulated
- * results themselves are pinned bit-identical by the golden-stats
- * test, so the only thing allowed to move here is wall time.
+ * second on this host. Compare two builds by running both on the same
+ * host: the simulated results themselves are pinned bit-identical by
+ * the golden-stats test, so the only thing allowed to move here is
+ * wall time.
  *
  *     gexsim-throughput [--quick] [--jobs N] [--json FILE]
  *
- * --quick runs a 5-point subset (CI smoke; no baseline comparison),
+ * --quick runs a 5-point subset (CI smoke),
  * --jobs N sets sweep-engine workers (0 = all cores), --json FILE
  * writes the measurements as one BENCH_throughput.json document.
  */
@@ -32,14 +32,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/**
- * Serial-mode throughput of the standard grid measured on this
- * codebase immediately before the flat-container / scan-gating
- * overhaul (RelWithDebInfo -O2, single thread, traces pre-built).
- * Update only when intentionally re-baselining.
- */
-constexpr double kBaselineKcyclesPerSec = 150.18;
-
 struct Point {
     const char *workload;
     const char *scheme;
@@ -49,8 +41,7 @@ struct Point {
 /**
  * The standard grid: six workloads under the three heavyweight
  * exception schemes with everything resident, plus two demand-paging
- * points so the fault/TLB/page-walk paths contribute. Identical to
- * the grid the baseline constant was recorded on.
+ * points so the fault/TLB/page-walk paths contribute.
  */
 const Point kStandardGrid[] = {
     {"bfs", "baseline", false},      {"bfs", "replay-queue", false},
@@ -204,13 +195,6 @@ writeJson(const std::string &path, bool quick, int jobs,
 
     w.key("serial");
     writePhase(w, serial);
-    if (!quick) {
-        // The baseline was recorded on the standard grid in serial
-        // mode; the quick subset has no comparable number.
-        w.key("baseline_kcycles_per_sec").value(kBaselineKcyclesPerSec);
-        w.key("speedup_vs_baseline")
-            .value(serial.kcyclesPerSec() / kBaselineKcyclesPerSec);
-    }
 
     w.key("sweep").beginObject();
     w.key("jobs").value(jobs);
@@ -286,10 +270,6 @@ toolMain(int argc, char **argv)
                 "%10.0f insts/s\n",
                 n, serial.wallSeconds, serial.kcyclesPerSec(),
                 serial.instsPerSec());
-    if (!quick)
-        std::printf("        baseline %.2f kcycles/s  ->  %.2fx\n",
-                    kBaselineKcyclesPerSec,
-                    serial.kcyclesPerSec() / kBaselineKcyclesPerSec);
 
     PhaseTotals sweep = runSweep(eng, grid, n);
     std::printf("sweep   %2zu pts  wall %7.3fs  %8.2f kcycles/s  "
