@@ -7,13 +7,13 @@
 namespace gex::isa {
 
 namespace {
-
 constexpr int kNum = static_cast<int>(Opcode::NumOpcodes);
+} // namespace
 
 // name, unit, global, shared, load, store, atomic, control, barrier,
 // exit, writesDst, numSrcs[, canRaiseArith — value-initialized false
 // when omitted]
-constexpr std::array<OpTraits, kNum> kTraits = {{
+constinit const std::array<OpTraits, kNum> detail::kOpTraits = {{
     {"iadd",      Unit::Math,  false,false,false,false,false,false,false,false,true, 2,false},
     {"isub",      Unit::Math,  false,false,false,false,false,false,false,false,true, 2,false},
     {"imul",      Unit::Math,  false,false,false,false,false,false,false,false,true, 2,false},
@@ -68,18 +68,12 @@ constexpr std::array<OpTraits, kNum> kTraits = {{
     {"nop",       Unit::None,  false,false,false,false,false,false,false,false,false,0,false},
 }};
 
+namespace {
+
 constexpr std::array<std::string_view, 6> kCmpNames =
     {"eq", "ne", "lt", "le", "gt", "ge"};
 
 } // namespace
-
-const OpTraits &
-traits(Opcode op)
-{
-    int idx = static_cast<int>(op);
-    GEX_ASSERT(idx >= 0 && idx < kNum, "bad opcode %d", idx);
-    return kTraits[static_cast<size_t>(idx)];
-}
 
 std::string_view
 opcodeName(Opcode op)
@@ -91,7 +85,7 @@ Opcode
 opcodeFromName(std::string_view name)
 {
     for (int i = 0; i < kNum; ++i)
-        if (kTraits[static_cast<size_t>(i)].name == name)
+        if (detail::kOpTraits[static_cast<size_t>(i)].name == name)
             return static_cast<Opcode>(i);
     return Opcode::NumOpcodes;
 }

@@ -13,8 +13,12 @@
 #ifndef GEX_ISA_OPCODES_HPP
 #define GEX_ISA_OPCODES_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+
+#include "common/log.hpp"
 
 namespace gex::isa {
 
@@ -81,8 +85,26 @@ struct OpTraits {
 /** True when @p op can raise an arithmetic exception. */
 bool canRaiseArith(Opcode op);
 
-/** Traits lookup; total over all opcodes. */
-const OpTraits &traits(Opcode op);
+namespace detail {
+/** The traits table, indexed by opcode (defined in opcodes.cpp). */
+extern const std::array<OpTraits, static_cast<std::size_t>(
+                                      Opcode::NumOpcodes)>
+    kOpTraits;
+} // namespace detail
+
+/**
+ * Traits lookup; total over all opcodes. Inline because the timing
+ * loop asks for an instruction's traits several times per issued
+ * warp instruction.
+ */
+inline const OpTraits &
+traits(Opcode op)
+{
+    const int idx = static_cast<int>(op);
+    GEX_ASSERT(idx >= 0 && idx < static_cast<int>(Opcode::NumOpcodes),
+               "bad opcode %d", idx);
+    return detail::kOpTraits[static_cast<std::size_t>(idx)];
+}
 
 /** Mnemonic, e.g. "ld.global". */
 std::string_view opcodeName(Opcode op);

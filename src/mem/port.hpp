@@ -12,7 +12,7 @@
 #ifndef GEX_MEM_PORT_HPP
 #define GEX_MEM_PORT_HPP
 
-#include <queue>
+#include <algorithm>
 #include <vector>
 
 #include "common/log.hpp"
@@ -25,15 +25,19 @@ namespace gex::mem {
  * FIFO-queued. Models issue ports (slots=k, hold=1) as well as
  * longer-occupancy pools such as the 64 page-table walkers (slots=64,
  * hold=500).
+ *
+ * The units' free times sit in a plain array and a grant takes the
+ * earliest one. Which of several equal minima is taken cannot matter,
+ * so the grants are those of a min-heap of free times; most ports have
+ * one or two units, where a linear scan beats heap maintenance.
  */
 class Port
 {
   public:
-    explicit Port(int slots = 1, Cycle hold = 1) : hold_(hold)
+    explicit Port(int slots = 1, Cycle hold = 1)
+        : hold_(hold), free_(static_cast<std::size_t>(slots), 0)
     {
         GEX_ASSERT(slots >= 1 && hold >= 1);
-        for (int i = 0; i < slots; ++i)
-            free_.push(0);
     }
 
     /**
@@ -43,25 +47,17 @@ class Port
     Cycle
     reserve(Cycle earliest)
     {
-        Cycle top = free_.top();
-        free_.pop();
-        Cycle start = std::max(earliest, top);
-        free_.push(start + hold_);
+        Cycle &unit = *std::min_element(free_.begin(), free_.end());
+        Cycle start = std::max(earliest, unit);
+        unit = start + hold_;
         return start;
     }
 
-    void
-    reset()
-    {
-        size_t n = free_.size();
-        free_ = {};
-        for (size_t i = 0; i < n; ++i)
-            free_.push(0);
-    }
+    void reset() { std::fill(free_.begin(), free_.end(), 0); }
 
   private:
     Cycle hold_;
-    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>> free_;
+    std::vector<Cycle> free_; ///< cycle each unit next becomes free
 };
 
 /**

@@ -22,15 +22,6 @@ PipelineState::PipelineState(int id, const gpu::GpuConfig &config,
     warps.resize(static_cast<size_t>(cfg.sm.maxWarps));
     GEX_ASSERT(cfg.sm.maxWarps <= WarpBitset::kMaxBits);
     replaysPerWarp.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
-    // Pre-size the event heap from the config-derived in-flight bound:
-    // each in-flight instruction carries at most three live events
-    // (source release, last check, commit) and in-flight work per warp
-    // is capped by the instruction buffer plus the LSU queue.
-    std::vector<Event> backing;
-    backing.reserve(static_cast<std::size_t>(cfg.sm.maxWarps) * 3 *
-                    static_cast<std::size_t>(cfg.sm.instBufferDepth +
-                                             cfg.sm.lsuQueueDepth));
-    events = decltype(events)(std::greater<>(), std::move(backing));
     pool.reserve(static_cast<std::size_t>(cfg.sm.maxWarps) *
                  static_cast<std::size_t>(cfg.sm.instBufferDepth +
                                           cfg.sm.lsuQueueDepth));

@@ -2,7 +2,7 @@
  * @file
  * Shared state of the SM pipeline: the runtime structures every stage
  * module (src/sm/stages) ticks over — per-warp state, the in-flight
- * instruction pool, the event heap, backend unit ports, statistics —
+ * instruction pool, the event wheel, backend unit ports, statistics —
  * plus the observer emission points.
  *
  * PipelineState is plain data with small inline helpers; the pipeline
@@ -18,7 +18,6 @@
 #define GEX_SM_PIPELINE_HPP
 
 #include <algorithm>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "func/kernel.hpp"
 #include "gpu/config.hpp"
 #include "obs/observer.hpp"
+#include "sm/event_wheel.hpp"
 #include "sm/exception_model.hpp"
 #include "sm/lsu.hpp"
 #include "sm/scoreboard.hpp"
@@ -46,25 +46,6 @@ struct LaunchInfo {
     int warpsPerBlock = 0;
     int blocksPerSm = 0;           ///< occupancy (resident TBs per SM)
     std::uint64_t contextBytesPerBlock = 0;
-};
-
-/** Non-instruction pipeline events and context-switch steps. */
-enum class EvKind : std::uint8_t {
-    SourceRelease, LastCheck, Commit, FaultReact, WarpResume,
-    SaveReady, SaveDone, RestoreDone, SlotRetry, TrapEnter,
-};
-
-struct Event {
-    Cycle cycle;
-    std::uint64_t seq;
-    EvKind kind;
-    std::int32_t arg;   ///< warp or slot index
-    std::uint32_t id;   ///< inflight pool index (when applicable)
-    bool
-    operator>(const Event &o) const
-    {
-        return cycle != o.cycle ? cycle > o.cycle : seq > o.seq;
-    }
 };
 
 /** One issued-but-not-retired instruction (pool slot). */
@@ -269,7 +250,7 @@ struct PipelineState {
 
     std::vector<Inflight> pool;
     std::vector<std::uint32_t> freeList;
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+    EventWheel events;
     std::uint64_t eventSeq = 0;
 
     mem::Port mathPort;
@@ -292,7 +273,7 @@ struct PipelineState {
     obs::PipelineObserver *obs = nullptr;
     /**
      * Attached invariant sanitizer (--check); nullptr (the default)
-     * disables the event-heap shadow at the cost of one
+     * disables the event-order shadow at the cost of one
      * predicted-not-taken branch per scheduled event.
      */
     check::SimSanitizer *san = nullptr;

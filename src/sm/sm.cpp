@@ -130,13 +130,11 @@ Sm::tick(Cycle now)
     processEvents(now);
     fetch_.tick(now);
     issue_.tick(now);
-    // Nothing outside this SM schedules into its heap, and every
+    // Nothing outside this SM schedules into its wheel, and every
     // time-based gate (fetchResumeAt, blockedUntil) has its own
     // WarpResume event, so an idle tick changes nothing until the
     // next event.
-    const Cycle wake = st_.didWork ? now + 1
-                       : st_.events.empty() ? kNoCycle
-                                            : st_.events.top().cycle;
+    const Cycle wake = st_.didWork ? now + 1 : st_.events.nextCycle();
     const IdleCounters moved = st_.idleCounters() - before;
     if (st_.san) {
         st_.san->checkWarpMasks(st_, now);
@@ -156,9 +154,8 @@ Sm::tick(Cycle now)
 void
 Sm::processEvents(Cycle now)
 {
-    while (!st_.events.empty() && st_.events.top().cycle <= now) {
-        Event ev = st_.events.top();
-        st_.events.pop();
+    Event ev;
+    while (st_.events.popDue(now, ev)) {
         if (st_.san)
             st_.san->onEventPopped(st_.smId, ev.cycle, ev.seq);
         st_.didWork = true;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <vector>
+
 #include "mem/port.hpp"
 #include "vm/host_link.hpp"
 
@@ -106,6 +110,58 @@ TEST(PortFairness, FifoUnderContention)
         Cycle got = port.reserve(want);
         EXPECT_GE(got, prev);
         prev = got;
+    }
+}
+
+/** The min-heap Port that mem::Port's free-time array replaced. */
+class HeapPort
+{
+  public:
+    HeapPort(int slots, Cycle hold) : hold_(hold)
+    {
+        for (int i = 0; i < slots; ++i)
+            free_.push(0);
+    }
+
+    Cycle
+    reserve(Cycle earliest)
+    {
+        Cycle top = free_.top();
+        free_.pop();
+        Cycle start = std::max(earliest, top);
+        free_.push(start + hold_);
+        return start;
+    }
+
+  private:
+    Cycle hold_;
+    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>> free_;
+};
+
+TEST(PortDifferential, GrantsMatchTheHeapOfFreeTimes)
+{
+    for (int slots : {1, 2, 64}) {
+        for (Cycle hold : {Cycle{1}, Cycle{500}}) {
+            mem::Port port(slots, hold);
+            HeapPort ref(slots, hold);
+            Rng rng(static_cast<std::uint64_t>(slots) * 1000 + hold);
+            // Requests arrive roughly in time order with bursts and
+            // out-of-order stragglers, as the SM issue loops make them.
+            Cycle t = 0;
+            for (int i = 0; i < 5000; ++i) {
+                t += rng.below(4) == 0 ? rng.below(3 * hold) : 0;
+                const Cycle want = t + rng.below(8) -
+                                   std::min<Cycle>(t, rng.below(4));
+                ASSERT_EQ(port.reserve(want), ref.reserve(want))
+                    << "slots " << slots << " hold " << hold
+                    << " request " << i;
+            }
+            port.reset();
+            HeapPort fresh(slots, hold);
+            for (int i = 0; i < 3 * slots; ++i)
+                ASSERT_EQ(port.reserve(7), fresh.reserve(7))
+                    << "after reset, slots " << slots;
+        }
     }
 }
 
