@@ -284,6 +284,21 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
         r.instructions += s->instsCommitted();
         s->collectStats(r.stats);
     }
+    // Always-on exactly-once retirement count: every trace instruction
+    // commits once, whatever the scheme, faults or switching did. One
+    // compare per run; --check finds the offending instruction itself.
+    const std::uint64_t traced = trace.dynamicInsts();
+    if (r.instructions != traced) {
+        ErrorContext ctx;
+        ctx.cycle = now;
+        ctx.scheme = schemeName(cfg_.scheme);
+        throw InvariantError(
+            strprintf("retirement count mismatch: committed %llu != "
+                      "trace %llu dynamic instructions",
+                      static_cast<unsigned long long>(r.instructions),
+                      static_cast<unsigned long long>(traced)),
+            std::move(ctx));
+    }
     l2_->collectStats(r.stats);
     dram_->collectStats(r.stats);
     mmu_->collectStats(r.stats);

@@ -149,6 +149,38 @@ TEST(SeededViolations, UnknownHookNameIsAConfigError)
                  ConfigError);
 }
 
+// --- Always-on retirement count --------------------------------------
+
+/**
+ * Known defect (ROADMAP.md, the operand-log double commit): under
+ * dense Bernoulli injection with demand paging, operand-log commits
+ * some instructions twice. Without --check the end-of-run retirement
+ * count is the only check that sees it. This pins seed 1 of that repro; it flips when the double commit's
+ * root cause is fixed, and must then expect the run to complete with
+ * exactly the trace's 48384 instructions.
+ */
+TEST(RetirementCount, OperandLogDoubleCommitTripsWithoutCheck)
+{
+    const harness::TracedWorkload &tw = cache().get("histo");
+    gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+    cfg.scheme = gpu::Scheme::OperandLog;
+    vm::VmPolicy policy = vm::VmPolicy::demandPaging();
+    policy.inject.model = inject::ModelKind::Bernoulli;
+    policy.inject.rate = 0.05;
+    policy.inject.seed = 1;
+    gpu::Gpu g(cfg);
+    try {
+        g.run(tw.kernel, tw.trace, policy);
+        FAIL() << "the double commit no longer reproduces; update this "
+                  "test to expect a clean run";
+    } catch (const InvariantError &e) {
+        EXPECT_NE(e.report().find("committed 48404 != trace 48384"),
+                  std::string::npos)
+            << e.report();
+        EXPECT_EQ(e.context().scheme, "operand-log");
+    }
+}
+
 // --- Warp-mask coherence ---------------------------------------------
 
 /** Shared memory system stub: the mask checker never touches it. */
