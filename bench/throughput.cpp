@@ -6,7 +6,10 @@
  * second on this host. Compare two builds by running both on the same
  * host: the simulated results themselves are pinned bit-identical by
  * the golden-stats test, so the only thing allowed to move here is
- * wall time.
+ * wall time. One timing on a shared host is one draw from a wide
+ * spread, so each phase runs kRepeats times (kQuickRepeats under
+ * --quick) and every rate is reported as the median and quartiles
+ * over those repeats.
  *
  *     gexsim-throughput [--quick] [--jobs N] [--json FILE]
  *
@@ -15,6 +18,7 @@
  * writes the measurements as one BENCH_throughput.json document.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -65,27 +69,85 @@ const Point kQuickGrid[] = {
     {"bfs", "replay-queue", true},
 };
 
+/** Times each phase is repeated (--quick: kQuickRepeats). */
+constexpr int kRepeats = 5;
+constexpr int kQuickRepeats = 3;
+
+/** Median and quartiles of one measurement over the repeats. */
+struct Spread {
+    double median = 0;
+    double q1 = 0;
+    double q3 = 0;
+};
+
+/** Linear-interpolation quantiles of @p v (non-empty). */
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&](double p) {
+        const double x = p * static_cast<double>(v.size() - 1);
+        const std::size_t i = static_cast<std::size_t>(x);
+        const double f = x - static_cast<double>(i);
+        return i + 1 < v.size() ? v[i] + f * (v[i + 1] - v[i]) : v[i];
+    };
+    return {at(0.5), at(0.25), at(0.75)};
+}
+
+/** Simulated work of a grid point or a phase, and its wall times. */
+struct Timed {
+    std::uint64_t cycles = 0;
+    std::uint64_t instructions = 0;
+    std::vector<double> wallSeconds; ///< one entry per repeat
+
+    /** Record one repeat; its simulated work must match the first's. */
+    void
+    add(std::uint64_t c, std::uint64_t insts, double wall,
+        const std::string &what)
+    {
+        if (wallSeconds.empty()) {
+            cycles = c;
+            instructions = insts;
+        } else if (c != cycles || insts != instructions) {
+            fatal("%s: repeat %zu simulated %llu cycles / %llu "
+                  "instructions, the first %llu / %llu",
+                  what.c_str(), wallSeconds.size() + 1,
+                  static_cast<unsigned long long>(c),
+                  static_cast<unsigned long long>(insts),
+                  static_cast<unsigned long long>(cycles),
+                  static_cast<unsigned long long>(instructions));
+        }
+        wallSeconds.push_back(wall);
+    }
+
+    /** @p work per wall second, over the repeats. */
+    Spread
+    rate(double work) const
+    {
+        std::vector<double> r;
+        for (double s : wallSeconds)
+            r.push_back(s > 0 ? work / s : 0);
+        return spreadOf(std::move(r));
+    }
+
+    Spread kcyclesPerSec() const { return rate(cycles / 1e3); }
+    Spread instsPerSec() const
+    {
+        return rate(static_cast<double>(instructions));
+    }
+};
+
 struct PointResult {
     const Point *pt;
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    double wallSeconds = 0;
+    Timed t;
 };
 
-struct PhaseTotals {
-    double wallSeconds = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-
-    double kcyclesPerSec() const
-    {
-        return wallSeconds > 0 ? cycles / wallSeconds / 1e3 : 0;
-    }
-    double instsPerSec() const
-    {
-        return wallSeconds > 0 ? instructions / wallSeconds : 0;
-    }
-};
+std::string
+pointName(const Point &pt)
+{
+    return std::string(pt.workload) + "/" + pt.scheme +
+           (pt.demandPaging ? "/paging" : "");
+}
 
 gpu::GpuConfig
 configFor(const Point &pt)
@@ -102,77 +164,110 @@ policyFor(const Point &pt)
                            : vm::VmPolicy::allResident();
 }
 
-/** One simulation per point on this thread, each individually timed. */
+/**
+ * The grid on this thread, @p repeats times over, one simulation per
+ * point, each individually timed. A repeat's phase time is the sum of
+ * its points' times.
+ */
 std::vector<PointResult>
 runSerial(harness::TraceCache &cache, const Point *grid, std::size_t n,
-          PhaseTotals &totals)
+          int repeats, Timed &phase)
 {
-    std::vector<PointResult> results;
-    results.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Point &pt = grid[i];
-        const harness::TracedWorkload &tw = cache.get(pt.workload);
-        auto t0 = Clock::now();
-        gpu::Gpu g(configFor(pt));
-        gpu::SimResult r = g.run(tw.kernel, tw.trace, policyFor(pt));
-        auto t1 = Clock::now();
+    std::vector<PointResult> results(n);
+    for (int rep = 0; rep < repeats; ++rep) {
+        double wall = 0;
+        std::uint64_t cycles = 0;
+        std::uint64_t insts = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Point &pt = grid[i];
+            const harness::TracedWorkload &tw = cache.get(pt.workload);
+            auto t0 = Clock::now();
+            gpu::Gpu g(configFor(pt));
+            gpu::SimResult r = g.run(tw.kernel, tw.trace, policyFor(pt));
+            auto t1 = Clock::now();
 
-        PointResult pr;
-        pr.pt = &pt;
-        pr.cycles = r.cycles;
-        pr.instructions = r.instructions;
-        pr.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-        totals.wallSeconds += pr.wallSeconds;
-        totals.cycles += pr.cycles;
-        totals.instructions += pr.instructions;
-        results.push_back(pr);
+            const double s = std::chrono::duration<double>(t1 - t0).count();
+            results[i].pt = &pt;
+            results[i].t.add(r.cycles, r.instructions, s, pointName(pt));
+            wall += s;
+            cycles += r.cycles;
+            insts += r.instructions;
+        }
+        phase.add(cycles, insts, wall, "serial phase");
     }
     return results;
 }
 
 /** The same grid through the sweep engine's thread pool. */
-PhaseTotals
-runSweep(harness::SweepEngine &eng, const Point *grid, std::size_t n)
+Timed
+runSweep(harness::SweepEngine &eng, const Point *grid, std::size_t n,
+         int repeats)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        const Point &pt = grid[i];
-        harness::RunSpec rs;
-        rs.workload = pt.workload;
-        rs.cfg = configFor(pt);
-        rs.policy = policyFor(pt);
-        rs.series = std::string(pt.scheme) +
-                    (pt.demandPaging ? "/paging" : "");
-        eng.add(std::move(rs));
-    }
-    auto t0 = Clock::now();
-    std::vector<harness::RunRecord> runs = eng.run();
-    auto t1 = Clock::now();
+    Timed phase;
+    for (int rep = 0; rep < repeats; ++rep) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const Point &pt = grid[i];
+            harness::RunSpec rs;
+            rs.workload = pt.workload;
+            rs.cfg = configFor(pt);
+            rs.policy = policyFor(pt);
+            rs.series = std::string(pt.scheme) +
+                        (pt.demandPaging ? "/paging" : "");
+            eng.add(std::move(rs));
+        }
+        auto t0 = Clock::now();
+        std::vector<harness::RunRecord> runs = eng.run();
+        auto t1 = Clock::now();
 
-    PhaseTotals totals;
-    totals.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-    for (const harness::RunRecord &rr : runs) {
-        totals.cycles += rr.result.cycles;
-        totals.instructions += rr.result.instructions;
+        std::uint64_t cycles = 0;
+        std::uint64_t insts = 0;
+        for (const harness::RunRecord &rr : runs) {
+            cycles += rr.result.cycles;
+            insts += rr.result.instructions;
+        }
+        phase.add(cycles, insts,
+                  std::chrono::duration<double>(t1 - t0).count(),
+                  "sweep phase");
     }
-    return totals;
+    return phase;
 }
 
 void
-writePhase(json::Writer &w, const PhaseTotals &t)
+writeSpread(json::Writer &w, const char *key, const Spread &s)
 {
-    w.beginObject();
-    w.key("wall_seconds").value(t.wallSeconds);
-    w.key("kcycles_per_sec").value(t.kcyclesPerSec());
-    w.key("insts_per_sec").value(t.instsPerSec());
+    w.key(key).beginObject();
+    w.key("median").value(s.median);
+    w.key("q1").value(s.q1);
+    w.key("q3").value(s.q3);
+    w.endObject();
+}
+
+/** Keys shared by a phase and a point: work, n and the spreads. */
+void
+writeTimed(json::Writer &w, const Timed &t)
+{
     w.key("cycles").value(t.cycles);
     w.key("instructions").value(t.instructions);
-    w.endObject();
+    w.key("n").value(static_cast<std::uint64_t>(t.wallSeconds.size()));
+    writeSpread(w, "wall_seconds", spreadOf(t.wallSeconds));
+    writeSpread(w, "kcycles_per_sec", t.kcyclesPerSec());
+}
+
+void
+printPhase(const char *name, std::size_t points, const Timed &t)
+{
+    const Spread wall = spreadOf(t.wallSeconds);
+    const Spread k = t.kcyclesPerSec();
+    std::printf("%-6s  %2zu pts  x%zu  wall median %7.3fs  kcycles/s "
+                "median %8.2f  (quartiles %.2f-%.2f)",
+                name, points, t.wallSeconds.size(), wall.median, k.median,
+                k.q1, k.q3);
 }
 
 void
 writeJson(const std::string &path, bool quick, int jobs,
-          const std::vector<PointResult> &points,
-          const PhaseTotals &serial, const PhaseTotals &sweep)
+          const std::vector<PointResult> &points, const Timed &serial,
+          const Timed &sweep)
 {
     std::ofstream os(path);
     if (!os)
@@ -193,14 +288,16 @@ writeJson(const std::string &path, bool quick, int jobs,
     w.key("grid").value(quick ? "quick" : "standard");
     w.key("grid_points").value(static_cast<std::uint64_t>(points.size()));
 
-    w.key("serial");
-    writePhase(w, serial);
+    // Every rate and time is the median and quartiles over n repeats.
+    w.key("serial").beginObject();
+    writeTimed(w, serial);
+    writeSpread(w, "insts_per_sec", serial.instsPerSec());
+    w.endObject();
 
     w.key("sweep").beginObject();
     w.key("jobs").value(jobs);
-    w.key("wall_seconds").value(sweep.wallSeconds);
-    w.key("kcycles_per_sec").value(sweep.kcyclesPerSec());
-    w.key("insts_per_sec").value(sweep.instsPerSec());
+    writeTimed(w, sweep);
+    writeSpread(w, "insts_per_sec", sweep.instsPerSec());
     w.endObject();
 
     w.key("points").beginArray();
@@ -210,13 +307,7 @@ writeJson(const std::string &path, bool quick, int jobs,
         w.key("scheme").value(pr.pt->scheme);
         w.key("policy").value(pr.pt->demandPaging ? "demand-paging"
                                                   : "all-resident");
-        w.key("cycles").value(pr.cycles);
-        w.key("instructions").value(pr.instructions);
-        w.key("wall_seconds").value(pr.wallSeconds);
-        w.key("kcycles_per_sec")
-            .value(pr.wallSeconds > 0
-                       ? pr.cycles / pr.wallSeconds / 1e3
-                       : 0.0);
+        writeTimed(w, pr.t);
         w.endObject();
     }
     w.endArray();
@@ -263,19 +354,16 @@ toolMain(int argc, char **argv)
     for (std::size_t i = 0; i < n; ++i)
         (void)eng.traces().get(grid[i].workload);
 
-    PhaseTotals serial;
+    const int repeats = quick ? kQuickRepeats : kRepeats;
+    Timed serial;
     std::vector<PointResult> points =
-        runSerial(eng.traces(), grid, n, serial);
-    std::printf("serial  %2zu pts  wall %7.3fs  %8.2f kcycles/s  "
-                "%10.0f insts/s\n",
-                n, serial.wallSeconds, serial.kcyclesPerSec(),
-                serial.instsPerSec());
+        runSerial(eng.traces(), grid, n, repeats, serial);
+    printPhase("serial", n, serial);
+    std::printf("\n");
 
-    PhaseTotals sweep = runSweep(eng, grid, n);
-    std::printf("sweep   %2zu pts  wall %7.3fs  %8.2f kcycles/s  "
-                "%10.0f insts/s  (jobs=%d)\n",
-                n, sweep.wallSeconds, sweep.kcyclesPerSec(),
-                sweep.instsPerSec(), eng.jobs());
+    Timed sweep = runSweep(eng, grid, n, repeats);
+    printPhase("sweep", n, sweep);
+    std::printf("  jobs=%d\n", eng.jobs());
 
     if (!jsonPath.empty())
         writeJson(jsonPath, quick, eng.jobs(), points, serial, sweep);
