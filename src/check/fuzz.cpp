@@ -137,13 +137,11 @@ FuzzCampaign::runScheme(const FuzzCase &c, gpu::Scheme scheme,
                         FuzzFailure *fail)
 {
     const harness::TracedWorkload &tw = cache_.get(c.workload, c.scale);
-    const ArchOracle oracle(c.workload, c.scale, *tw.mem, tw.trace);
-
     config::RunParams p = c.params;
     p.cfg.scheme = scheme;
     try {
         gpu::Gpu g(p.cfg);
-        oracle.verifyTiming(g.run(tw.kernel, tw.trace, p.policy), p.cfg);
+        g.run(tw.kernel, tw.trace, p.policy);
     } catch (const GexError &e) {
         if (fail) {
             fail->c = c;

@@ -78,23 +78,6 @@ ArchOracle::ArchOracle(std::string workload, int scale,
 }
 
 void
-ArchOracle::verifyTiming(const gpu::SimResult &r,
-                         const gpu::GpuConfig &cfg) const
-{
-    if (r.instructions == ref_.dynamicInsts)
-        return;
-    ErrorContext ctx;
-    ctx.scheme = gpu::schemeName(cfg.scheme);
-    ctx.workload = workload_;
-    throw InvariantError(
-        strprintf("architectural oracle: timing simulator retired %llu "
-                  "instructions but the functional trace has %llu",
-                  static_cast<unsigned long long>(r.instructions),
-                  static_cast<unsigned long long>(ref_.dynamicInsts)),
-        std::move(ctx));
-}
-
-void
 ArchOracle::verifyReplay() const
 {
     func::GlobalMemory mem;

@@ -12,8 +12,9 @@
  *  2. the timing simulator retires exactly the traced stream: every
  *     traced instruction commits exactly once under any scheme, fault
  *     model and UC1/UC2 setting — enforced per event by
- *     SimSanitizer's coverage bitmap, and summarized here by the
- *     committed-instruction count (verifyTiming);
+ *     SimSanitizer's coverage bitmap, and summarized by the
+ *     committed-instruction count gpu::Gpu::run compares with the
+ *     trace at the end of every run;
  *  3. schemes are equivalent: with 1 and 2 holding for every scheme
  *     over the same trace, all five produce the same architectural
  *     final state, so cross-scheme divergence reduces to fingerprint
@@ -35,10 +36,6 @@ class GlobalMemory;
 }
 namespace gex::trace {
 struct KernelTrace;
-}
-namespace gex::gpu {
-struct SimResult;
-struct GpuConfig;
 }
 
 namespace gex::check {
@@ -76,7 +73,7 @@ ArchFingerprint fingerprint(const func::GlobalMemory &mem,
 
 /**
  * One workload's oracle: captures the reference fingerprint at
- * construction, then checks timing results and replays against it.
+ * construction, then checks functional replays against it.
  */
 class ArchOracle
 {
@@ -86,16 +83,6 @@ class ArchOracle
                const trace::KernelTrace &trace);
 
     const ArchFingerprint &reference() const { return ref_; }
-
-    /**
-     * Check a timing-simulation result against the trace: the retired
-     * instruction count must equal the trace's dynamic instruction
-     * count (SimSanitizer's coverage bitmap guarantees the stronger
-     * exactly-once property per instruction when --check is on).
-     * Throws InvariantError on divergence.
-     */
-    void verifyTiming(const gpu::SimResult &r,
-                      const gpu::GpuConfig &cfg) const;
 
     /**
      * Rebuild the workload on a fresh GlobalMemory, re-execute it on

@@ -59,6 +59,18 @@ ArgParser::option(std::string flag, std::string valueName,
 }
 
 void
+ArgParser::specOption(
+    std::string key, std::string doc,
+    std::function<void(const json::Value &, const std::string &)> setter)
+{
+    Option o;
+    o.doc = std::move(doc);
+    o.specKey = std::move(key);
+    o.specSetter = std::move(setter);
+    options_.push_back(std::move(o));
+}
+
+void
 ArgParser::flag(std::string flag, std::string doc,
                 std::function<void()> setter)
 {
@@ -88,7 +100,7 @@ const ArgParser::Option *
 ArgParser::findOption(const std::string &flag) const
 {
     for (const Option &o : options_)
-        if (o.flag == flag)
+        if (!o.flag.empty() && o.flag == flag)
             return &o;
     return nullptr;
 }
@@ -98,7 +110,8 @@ ArgParser::unknownFlag(const std::string &flag) const
 {
     std::vector<std::string> known = {"--help", "--version"};
     for (const Option &o : options_)
-        known.push_back(o.flag);
+        if (!o.flag.empty())
+            known.push_back(o.flag);
     if (params_) {
         known.push_back("--config");
         known.push_back("--dump-knobs");
@@ -136,6 +149,10 @@ ArgParser::applySpec(const std::string &path)
         for (const Option &o : options_) {
             if (o.specKey != key)
                 continue;
+            if (o.specSetter) {
+                o.specSetter(v, path);
+                return true;
+            }
             std::string ctx = strprintf("%s: key '%s'", path.c_str(),
                                         key.c_str());
             auto scalarText =
@@ -204,6 +221,10 @@ ArgParser::printHelp() const
     if (!positionalName_.empty())
         line(positionalName_, positionalDoc_);
     for (const Option &o : options_) {
+        if (o.flag.empty()) {
+            line("\"" + o.specKey + "\" (spec file only)", o.doc);
+            continue;
+        }
         std::string left = o.flag;
         if (!o.valueName.empty())
             left += " " + o.valueName;

@@ -196,6 +196,18 @@ class ArgParser
                 std::function<void(const std::string &)> setter,
                 const char *specKey = nullptr);
 
+    /**
+     * A spec-file-only key whose value reaches @p setter as parsed
+     * JSON, for structured values no flag can carry (gexsim-sweep's
+     * axes and normalize_to). @p setter gets the spec file's path for
+     * its diagnostics. A flag may share the key's name: `workloads` is
+     * a CSV flag and a list of objects in a spec.
+     */
+    void specOption(std::string key, std::string doc,
+                    std::function<void(const json::Value &,
+                                       const std::string &origin)>
+                        setter);
+
     /** A value-less driver flag (--stats, --quick, --list). */
     void flag(std::string flag, std::string doc,
               std::function<void()> setter);
@@ -234,6 +246,9 @@ class ArgParser
         std::function<void(const std::string &)> setter; ///< valued
         std::function<void()> action;                    ///< value-less
         std::string specKey; ///< empty: not accepted in spec files
+        /** Structured spec value (specOption); flag is then empty. */
+        std::function<void(const json::Value &, const std::string &)>
+            specSetter;
     };
 
     const Option *findOption(const std::string &flag) const;

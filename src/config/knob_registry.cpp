@@ -800,7 +800,18 @@ KnobRegistry::applySpecText(
     if (!root)
         throw ConfigError(
             strprintf("%s: %s", origin.c_str(), err.c_str()));
-    if (!root->isObject())
+    applySpec(p, *root, origin, extraKey, extraSuggest);
+}
+
+void
+KnobRegistry::applySpec(
+    RunParams &p, const json::Value &root, const std::string &origin,
+    const std::function<bool(const std::string &, const json::Value &)>
+        &extraKey,
+    const std::function<std::string(const std::string &)> &extraSuggest)
+    const
+{
+    if (!root.isObject())
         throw ConfigError(strprintf(
             "%s: an experiment spec must be a JSON object",
             origin.c_str()));
@@ -808,7 +819,7 @@ KnobRegistry::applySpecText(
     // Knobs apply in registry order (presets before their component
     // knobs), independent of key order in the file.
     for (const Knob &k : knobs_) {
-        const json::Value *v = root->find(k.name);
+        const json::Value *v = root.find(k.name);
         if (!v)
             continue;
         std::string ctx =
@@ -816,7 +827,7 @@ KnobRegistry::applySpecText(
         k.set(p, k.fromJson(ctx, *v));
     }
     // Remaining keys are driver-specific or mistakes.
-    for (const auto &kv : root->members) {
+    for (const auto &kv : root.members) {
         if (find(kv.first))
             continue;
         if (extraKey && extraKey(kv.first, kv.second))

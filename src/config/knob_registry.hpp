@@ -177,6 +177,14 @@ class KnobRegistry
         const std::function<std::string(const std::string &key)>
             &extraSuggest = {}) const;
 
+    /** applySpecText on an already parsed JSON value. */
+    void applySpec(
+        RunParams &p, const json::Value &root, const std::string &origin,
+        const std::function<bool(const std::string &key,
+                                 const json::Value &v)> &extraKey = {},
+        const std::function<std::string(const std::string &key)>
+            &extraSuggest = {}) const;
+
     /** Read @p path and applySpecText; ConfigError when unreadable. */
     void applySpecFile(
         RunParams &p, const std::string &path,

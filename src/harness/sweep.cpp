@@ -199,43 +199,6 @@ SweepEngine::run()
     return records;
 }
 
-void
-normalizeToSeries(std::vector<RunRecord> &runs,
-                  const std::string &baseSeries, const std::string &key)
-{
-    std::map<std::string, double> baseCycles;
-    for (const RunRecord &r : runs)
-        if (r.ok() && r.spec.seriesLabel() == baseSeries)
-            baseCycles[r.spec.groupLabel()] =
-                static_cast<double>(r.result.cycles);
-    for (RunRecord &r : runs) {
-        if (!r.ok())
-            continue;
-        auto it = baseCycles.find(r.spec.groupLabel());
-        if (it == baseCycles.end() || r.result.cycles == 0)
-            continue;
-        r.derived[key] =
-            it->second / static_cast<double>(r.result.cycles);
-    }
-}
-
-std::map<std::string, double>
-seriesGeomeans(const std::vector<RunRecord> &runs, const std::string &key)
-{
-    std::map<std::string, std::vector<double>> bySeries;
-    for (const RunRecord &r : runs) {
-        if (!r.ok())
-            continue;
-        auto it = r.derived.find(key);
-        if (it != r.derived.end() && it->second > 0.0)
-            bySeries[r.spec.seriesLabel()].push_back(it->second);
-    }
-    std::map<std::string, double> out;
-    for (const auto &kv : bySeries)
-        out[kv.first] = geomean(kv.second);
-    return out;
-}
-
 std::size_t
 SweepReport::countStatus(PointStatus s) const
 {

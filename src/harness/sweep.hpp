@@ -197,31 +197,12 @@ class SweepEngine
 };
 
 /**
- * For every group, set derived[@p key] = base.cycles / run.cycles on
- * each run, where base is the group's run in @p baseSeries (the usual
- * "normalized to baseline, higher is better" metric of the paper's
- * figures). Groups without a base run are left untouched.
- */
-void normalizeToSeries(std::vector<RunRecord> &runs,
-                       const std::string &baseSeries,
-                       const std::string &key = "normalized");
-
-/**
- * Geometric mean of derived[@p key] per series, over the runs that
- * carry the key (e.g. fig10's per-scheme geomean row). Series with no
- * such runs are absent from the result.
- */
-std::map<std::string, double>
-seriesGeomeans(const std::vector<RunRecord> &runs,
-               const std::string &key = "normalized");
-
-/**
  * A complete sweep outcome: metadata + per-run records + summary
  * rows, serializable as one BENCH_*.json document (schema documented
  * in docs/METRICS.md).
  */
 struct SweepReport {
-    std::string name;        ///< bench/tool name ("fig10_schemes", ...)
+    std::string name;        ///< experiment or tool name ("fig10", ...)
     int jobs = 1;            ///< worker threads used
     double wallSeconds = 0;  ///< sweep wall-clock time
     /**

@@ -16,6 +16,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
+#include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "inject/fault_model.hpp"
 
@@ -210,10 +211,10 @@ TEST(SweepResilience, FailedPointsNeverKillTheSweep)
         << runs[2].error;
 
     // Summary rows only see Ok points.
-    harness::normalizeToSeries(runs, "baseline");
+    harness::normalizeTo(runs, {0, 0, 0});
+    EXPECT_DOUBLE_EQ(runs[0].derived.at("normalized"), 1.0);
     EXPECT_EQ(runs[1].derived.count("normalized"), 0u);
-    std::map<std::string, double> gms = harness::seriesGeomeans(runs);
-    EXPECT_EQ(gms.count("seeded-livelock"), 0u);
+    EXPECT_EQ(runs[2].derived.count("normalized"), 0u);
 }
 
 TEST(SweepResilience, ReportJsonCarriesStatusAndError)

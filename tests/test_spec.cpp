@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "common/json.hpp"
 #include "config/cli.hpp"
 #include "config/knob_registry.hpp"
+#include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 
 namespace gex {
@@ -376,6 +378,143 @@ TEST(Manifest, ReRunFromManifestIsBitIdentical)
     ra.stats.dumpCsv(sa);
     rb.stats.dumpCsv(sb);
     EXPECT_EQ(sa.str(), sb.str());
+}
+
+// --- Experiment grids (gexsim-sweep --config) -------------------------
+
+/** Parse a gexsim-sweep command line into @p exp and @p p. */
+void
+parseSweep(harness::Experiment &exp, config::RunParams &p,
+           std::vector<std::string> args)
+{
+    cli::ArgParser ap("gexsim-sweep", "test");
+    exp.addOptions(ap);
+    ap.bindKnobs(&p);
+    args.insert(args.begin(), "gexsim-sweep");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    ap.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Experiment, EveryCommittedSpecParsesAndExpands)
+{
+    std::size_t specs = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator(GEX_EXPERIMENTS_DIR)) {
+        if (e.path().extension() != ".json")
+            continue;
+        SCOPED_TRACE(e.path().string());
+        harness::Experiment exp;
+        config::RunParams p;
+        ASSERT_NO_THROW(parseSweep(exp, p, {"--config", e.path().string()}));
+        std::vector<harness::RunSpec> points;
+        ASSERT_NO_THROW(points = exp.expand(p));
+        EXPECT_FALSE(points.empty());
+        EXPECT_FALSE(exp.axes.empty());
+        EXPECT_FALSE(exp.normalizeAxis.empty());
+        EXPECT_FALSE(exp.note.empty());
+        ++specs;
+    }
+    // fig10-fig14, three ablations, two scal_sms grids, fault_storm and
+    // the two fault-injection campaigns.
+    EXPECT_GE(specs, 13u);
+}
+
+TEST(Experiment, KnobAndLabelledAxesExpandInOrder)
+{
+    const std::string spec = tmpSpec(
+        "grid.json",
+        "{\"workloads\": [{\"workload\": \"bfs\", \"scale\": 2}, \"spmv\"],"
+        " \"scheme\": \"replay-queue\","
+        " \"axes\": [{\"knob\": \"sms\", \"values\": [4, 8]},"
+        "  [{\"label\": \"a\"},"
+        "   {\"label\": \"b\", \"policy\": \"demand-paging\", \"scale\": 3}]],"
+        " \"normalize_to\": {\"1\": \"a\"}}");
+    harness::Experiment exp;
+    config::RunParams base;
+    parseSweep(exp, base, {"--config", spec});
+    std::vector<harness::RunSpec> points = exp.expand(base);
+
+    struct Want {
+        const char *workload;
+        int scale, sms;
+        bool paging;
+        const char *group, *series;
+    };
+    const Want want[] = {
+        {"bfs", 2, 4, false, "bfs/4", "a"},
+        {"bfs", 3, 4, true, "bfs/4", "b"},
+        {"bfs", 2, 8, false, "bfs/8", "a"},
+        {"bfs", 3, 8, true, "bfs/8", "b"},
+        {"spmv", 1, 4, false, "spmv/4", "a"},
+        {"spmv", 3, 4, true, "spmv/4", "b"},
+        {"spmv", 1, 8, false, "spmv/8", "a"},
+        {"spmv", 3, 8, true, "spmv/8", "b"},
+    };
+    ASSERT_EQ(points.size(), std::size(want));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE(i);
+        config::RunParams p;
+        p.cfg.scheme = gpu::Scheme::ReplayQueue;
+        p.cfg.numSms = want[i].sms;
+        if (want[i].paging)
+            p.policy = vm::VmPolicy::demandPaging();
+        config::RunParams got{points[i].cfg, points[i].policy};
+        EXPECT_EQ(points[i].workload, want[i].workload);
+        EXPECT_EQ(points[i].scale, want[i].scale);
+        EXPECT_EQ(reg.resultDigest(got), reg.resultDigest(p));
+        EXPECT_EQ(points[i].groupLabel(), want[i].group);
+        EXPECT_EQ(points[i].seriesLabel(), want[i].series);
+    }
+}
+
+TEST(Experiment, UnknownKeyInAnAxisLevelNamesFileLevelAndKnob)
+{
+    const std::string spec = tmpSpec(
+        "bad_level.json",
+        "{\"axes\": [[{\"label\": \"baseline\"},"
+        " {\"label\": \"8KB\", \"scheme\": \"operand-log\","
+        " \"operand-log-kbb\": 8}]]}");
+    harness::Experiment exp;
+    config::RunParams p;
+    try {
+        parseSweep(exp, p, {"--config", spec});
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(spec), std::string::npos) << msg;
+        EXPECT_NE(msg.find("axes[0] level '8KB'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("unknown key 'operand-log-kbb'"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("did you mean 'operand-log-kb'"),
+                  std::string::npos)
+            << msg;
+    }
+
+    // A misspelt knob axis, a scheme list next to axes, and a
+    // normalize_to naming no level are ConfigErrors too.
+    const std::string knobAxis = tmpSpec(
+        "bad_axis.json", "{\"axes\": [{\"knob\": \"smz\", \"values\": [4]}]}");
+    try {
+        parseSweep(exp, p, {"--config", knobAxis});
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("did you mean 'sms'"),
+                  std::string::npos)
+            << e.what();
+    }
+    const std::string grid = tmpSpec(
+        "norm.json", "{\"workloads\": [\"bfs\"], \"axes\": [{\"knob\": "
+                     "\"sms\", \"values\": [4, 8]}], \"normalize_to\": "
+                     "{\"sms\": \"16\"}}");
+    harness::Experiment a;
+    parseSweep(a, p, {"--config", grid, "--schemes", "baseline"});
+    EXPECT_THROW(a.expand(p), ConfigError);
+    harness::Experiment b;
+    parseSweep(b, p, {"--config", grid});
+    EXPECT_THROW(b.expand(p), ConfigError);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include "common/json.hpp"
 #include "common/stats.hpp"
+#include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 
 namespace gex {
@@ -228,38 +229,87 @@ TEST(TraceCache, BuildsEachWorkloadOnce)
 
 TEST(SweepHelpers, NormalizeAndGeomeans)
 {
-    auto mk = [](const char *group, const char *series, Cycle cycles) {
-        harness::RunRecord r;
-        r.spec.workload = group;
-        r.spec.series = series;
-        r.result.cycles = cycles;
-        return r;
-    };
-    std::vector<harness::RunRecord> runs = {
-        mk("w1", "baseline", 1000), mk("w1", "x", 2000),
-        mk("w2", "baseline", 500),  mk("w2", "x", 250),
-    };
-    harness::normalizeToSeries(runs, "baseline");
+    // A 2x2 toy grid: two workloads x {baseline, x}, normalized to
+    // baseline, with made-up cycle counts standing in for the runs.
+    harness::Experiment exp;
+    exp.workloads = {{"bfs", 0}, {"spmv", 0}};
+    exp.schemes = {"baseline", "replay-queue"};
+    exp.normalizeAxis = "scheme";
+    exp.normalizeLabel = "baseline";
+    std::vector<harness::RunSpec> points =
+        exp.expand(config::RunParams::baseline());
+    ASSERT_EQ(points.size(), 4u);
+    const Cycle cycles[] = {1000, 2000, 500, 250};
+    std::vector<harness::RunRecord> runs(points.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        runs[i].spec = points[i];
+        runs[i].result.cycles = cycles[i];
+    }
+    exp.normalize(runs);
+    // base.cycles / run.cycles per point; a base is its own base.
     EXPECT_DOUBLE_EQ(runs[0].derived.at("normalized"), 1.0);
     EXPECT_DOUBLE_EQ(runs[1].derived.at("normalized"), 0.5);
+    EXPECT_DOUBLE_EQ(runs[2].derived.at("normalized"), 1.0);
     EXPECT_DOUBLE_EQ(runs[3].derived.at("normalized"), 2.0);
 
-    auto gms = harness::seriesGeomeans(runs);
+    auto gms = exp.geomeans(runs);
     EXPECT_DOUBLE_EQ(gms.at("baseline"), 1.0);
-    EXPECT_DOUBLE_EQ(gms.at("x"), 1.0); // geomean(0.5, 2.0)
+    EXPECT_DOUBLE_EQ(gms.at("replay-queue"), 1.0); // geomean(0.5, 2.0)
+
+    // A point whose base failed gets no value, and leaves the geomean.
+    for (auto &r : runs)
+        r.derived.clear();
+    runs[2].status = harness::PointStatus::Failed;
+    exp.normalize(runs);
+    EXPECT_DOUBLE_EQ(runs[1].derived.at("normalized"), 0.5);
+    EXPECT_EQ(runs[2].derived.count("normalized"), 0u);
+    EXPECT_EQ(runs[3].derived.count("normalized"), 0u);
+    EXPECT_DOUBLE_EQ(exp.geomeans(runs).at("replay-queue"), 0.5);
+
+    // Normalizing on a leading axis pairs points across table rows:
+    // bfs x sms {4, 8} x scheme {baseline, replay-queue}, to sms 4.
+    harness::Experiment two;
+    two.workloads = {{"bfs", 0}};
+    two.axes = {harness::Experiment::parseAxis(
+                    *json::parse("{\"knob\": \"sms\", \"values\": [4, 8]}"),
+                    "sms axis"),
+                harness::Experiment::parseAxis(
+                    *json::parse("{\"knob\": \"scheme\", \"values\": "
+                                 "[\"baseline\", \"replay-queue\"]}"),
+                    "scheme axis")};
+    two.normalizeAxis = "0";
+    two.normalizeLabel = "4";
+    points = two.expand(config::RunParams::baseline());
+    ASSERT_EQ(points.size(), 4u);
+    EXPECT_EQ(points[2].groupLabel(), "bfs/8");
+    EXPECT_EQ(points[3].seriesLabel(), "replay-queue");
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        runs[i] = harness::RunRecord{};
+        runs[i].spec = points[i];
+        runs[i].result.cycles = cycles[i];
+    }
+    two.normalize(runs);
+    EXPECT_DOUBLE_EQ(runs[2].derived.at("normalized"), 2.0);  // 1000/500
+    EXPECT_DOUBLE_EQ(runs[3].derived.at("normalized"), 8.0);  // 2000/250
+    EXPECT_DOUBLE_EQ(two.geomeans(runs).at("8/replay-queue"), 8.0);
 }
 
 TEST(SweepReport, JsonDocumentParsesAndCarriesStats)
 {
+    harness::Experiment exp;
+    exp.workloads = {{"bfs", 0}, {"spmv", 0}};
+    exp.schemes = {"baseline", "replay-queue"};
+    config::RunParams base;
+    base.cfg.numSms = 4;
     harness::SweepEngine eng(2);
-    for (auto &rs : smallGrid())
+    for (auto &rs : exp.expand(base))
         eng.add(std::move(rs));
     harness::SweepReport rep;
     rep.name = "test_sweep";
     rep.jobs = eng.jobs();
     rep.runs = eng.run();
-    harness::normalizeToSeries(rep.runs, "baseline");
-    rep.geomeans = harness::seriesGeomeans(rep.runs);
+    exp.normalize(rep.runs);
+    rep.geomeans = exp.geomeans(rep.runs);
 
     std::ostringstream os;
     rep.writeJson(os);

@@ -21,7 +21,7 @@
 #include <fstream>
 #include <string>
 
-#include "cli.hpp"
+#include "config/cli.hpp"
 #include "gex.hpp"
 
 using namespace gex;

@@ -23,7 +23,7 @@
 #include <iostream>
 #include <string>
 
-#include "cli.hpp"
+#include "config/cli.hpp"
 #include "gex.hpp"
 
 using namespace gex;
@@ -88,7 +88,6 @@ toolMain(int argc, char **argv)
         // already proved exactly-once retirement; close the loop
         // against the functional reference (docs/VALIDATION.md).
         check::ArchOracle oracle(o.workload, o.scale, mem, tr);
-        oracle.verifyTiming(r, params.cfg);
         oracle.verifyReplay();
     }
 

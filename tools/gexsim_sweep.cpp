@@ -1,125 +1,90 @@
 /**
  * @file
- * gexsim-sweep: run a (workload × scheme) grid on the parallel sweep
- * engine, print a normalized-performance table, and optionally export
- * the full result set — per-run stats included — as a BENCH_*.json
- * document (schema: docs/METRICS.md) carrying the campaign's
- * resolved_config manifest.
+ * gexsim-sweep: the one grid runner. Expands an experiment grid
+ * (workloads x ordered knob axes, harness/experiment.hpp) onto the
+ * parallel sweep engine, prints it as one normalized table, and
+ * optionally exports the full result set — per-run stats included — as
+ * a BENCH_*.json document (schema: docs/METRICS.md) carrying the base
+ * configuration's resolved_config manifest.
  *
- *   gexsim-sweep --suite parboil --jobs 4 --json BENCH_sweep.json
+ *   gexsim-sweep --config experiments/fig10.json --jobs 4
+ *   gexsim-sweep --config experiments/faultsim-quick.json --json out.json
  *   gexsim-sweep --workloads sgemm,lbm --schemes baseline,replay-queue \
  *                --policy demand-paging --link pcie
- *   gexsim-sweep --config spec.json --jobs 4
  *
- * Run with --help for the full flag list.
+ * Without `axes`, --schemes (default all five) is one scheme axis
+ * normalized to its first scheme. Run with --help for every flag and
+ * spec key.
  */
 
-#include <cstdio>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "cli.hpp"
+#include "config/cli.hpp"
 #include "gex.hpp"
 
 using namespace gex;
 
 namespace {
 
-struct Options {
-    std::string resumePath;
-    int retries = 1;
-    std::vector<std::string> workloads;
-    std::vector<std::string> schemes = {"baseline", "wd-commit",
-                                        "wd-lastcheck", "replay-queue",
-                                        "operand-log"};
-    std::string suite = "parboil";
-    std::string jsonPath;
-    int scale = 1;
-    int jobs = 1;
-    bool listWorkloads = false;
-};
-
-std::vector<std::string>
-resolveWorkloads(const Options &o)
+/** Report name: the last spec file's stem, else "gexsim_sweep". */
+std::string
+reportName(const std::vector<std::string> &configFiles)
 {
-    if (!o.workloads.empty()) {
-        for (const auto &w : o.workloads)
-            if (!workloads::exists(w))
-                fatal("unknown workload '%s' (try --list)", w.c_str());
-        return o.workloads;
-    }
-    if (o.suite == "parboil")
-        return workloads::parboilSuite();
-    if (o.suite == "halloc")
-        return workloads::hallocSuite();
-    if (o.suite == "all")
-        return workloads::allNames();
-    fatal("unknown suite '%s' (expected parboil | halloc | all)",
-          o.suite.c_str());
+    return configFiles.empty()
+               ? "gexsim_sweep"
+               : std::filesystem::path(configFiles.back()).stem().string();
 }
 
 int
 toolMain(int argc, char **argv)
 {
-    Options o;
+    harness::Experiment exp;
     config::RunParams params;
+    std::string resumePath, jsonPath;
+    int retries = 1;
+    int jobs = 1;
+    bool listWorkloads = false;
 
-    cli::ArgParser p("gexsim-sweep",
-                     "parallel (workload x scheme) sweep driver");
+    cli::ArgParser p("gexsim-sweep", "experiment grid runner");
     p.synopsis("gexsim-sweep [--config spec.json] [--suite S | "
                "--workloads A,B] [--schemes A,B] [knob flags...]");
-    p.option("--suite", "S", "parboil | halloc | all (default parboil)",
-             [&](const std::string &v) { o.suite = v; }, "suite");
-    p.option("--workloads", "A,B,C",
-             "explicit workload list (overrides --suite)",
-             [&](const std::string &v) { o.workloads = cli::splitCsv(v); },
-             "workloads");
-    p.option("--schemes", "A,B,C",
-             "schemes to sweep (default all five)",
-             [&](const std::string &v) { o.schemes = cli::splitCsv(v); },
-             "schemes");
-    p.option("--scale", "N", "workload scale factor (default 1)",
+    exp.addOptions(p);
+    p.option("--jobs", "N", "worker threads (default 1; 0 = all cores)",
              [&](const std::string &v) {
-                 o.scale = cli::parseIntFlag("--scale", v, 1, 1 << 20);
-             },
-             "scale");
-    p.option("--jobs", "N",
-             "worker threads (default 1; 0 = all cores)",
-             [&](const std::string &v) {
-                 o.jobs = cli::parseIntFlag("--jobs", v, 0, 4096);
+                 jobs = cli::parseIntFlag("--jobs", v, 0, 4096);
              });
     p.option("--json", "FILE", "write the full result set as JSON",
-             [&](const std::string &v) { o.jsonPath = v; });
+             [&](const std::string &v) { jsonPath = v; });
     p.option("--resume", "FILE",
              "campaign journal: record every finished point there and "
              "skip points already in it (--json output is then "
              "byte-identical to an uninterrupted run at any --jobs)",
-             [&](const std::string &v) { o.resumePath = v; });
+             [&](const std::string &v) { resumePath = v; });
     p.option("--retries", "N",
              "retries for transiently failed points (default 1)",
              [&](const std::string &v) {
-                 o.retries = cli::parseIntFlag("--retries", v, 0, 100);
+                 retries = cli::parseIntFlag("--retries", v, 0, 100);
              },
              "retries");
     p.flag("--list", "list built-in workloads",
-           [&] { o.listWorkloads = true; });
+           [&] { listWorkloads = true; });
     p.bindKnobs(&params);
     p.parse(argc, argv);
 
-    if (o.listWorkloads) {
+    if (listWorkloads) {
         for (const auto &n : workloads::allNames())
             std::printf("%s\n", n.c_str());
         return 0;
     }
 
-    std::vector<std::string> names = resolveWorkloads(o);
-    if (o.schemes.empty())
-        fatal("--schemes resolved to an empty list");
-
-    harness::SweepEngine eng(o.jobs);
-    eng.setMaxRetries(o.retries);
-    harness::CampaignJournal journal(o.resumePath);
+    std::vector<harness::RunSpec> points = exp.expand(params);
+    harness::SweepEngine eng(jobs);
+    eng.setMaxRetries(retries);
+    harness::CampaignJournal journal(resumePath);
     if (journal.active()) {
         std::size_t loaded = journal.load();
         if (loaded)
@@ -127,84 +92,34 @@ toolMain(int argc, char **argv)
                         journal.path().c_str());
         eng.setJournal(&journal);
     }
-    for (const auto &w : names) {
-        for (const auto &s : o.schemes) {
-            harness::RunSpec rs;
-            rs.workload = w;
-            rs.scale = o.scale;
-            rs.cfg = params.cfg;
-            rs.cfg.scheme = gpu::schemeFromName(s);
-            rs.policy = params.policy;
-            eng.add(std::move(rs));
-        }
-    }
+    for (harness::RunSpec &rs : points)
+        eng.add(std::move(rs));
 
-    std::printf("sweep: %zu workloads x %zu schemes = %zu runs, "
-                "%d jobs, policy %s\n",
-                names.size(), o.schemes.size(), eng.size(), eng.jobs(),
-                vm::policyName(params.policy));
+    const std::string name = reportName(p.configFiles());
+    std::printf("%s: %zu runs, %d jobs\n", name.c_str(), eng.size(),
+                eng.jobs());
 
     auto t0 = std::chrono::steady_clock::now();
     std::vector<harness::RunRecord> runs = eng.run();
     auto t1 = std::chrono::steady_clock::now();
     double wall = std::chrono::duration<double>(t1 - t0).count();
 
-    // Normalize to the first listed scheme (column 1 of the table).
-    const std::string baseSeries = o.schemes.front();
-    harness::normalizeToSeries(runs, baseSeries);
-
-    std::printf("%-14s %12s", "benchmark", "base-cycles");
-    for (const auto &s : o.schemes)
-        if (s != baseSeries)
-            std::printf(" %12s", s.c_str());
-    std::printf("\n");
-    std::size_t dropped = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const auto &r = runs[i];
-        if (!r.ok()) {
-            ++dropped;
-            if (r.spec.seriesLabel() == baseSeries)
-                std::printf("%-14s %12s", r.spec.workload.c_str(),
-                            harness::pointStatusName(r.status));
-            else
-                std::printf(" %12s",
-                            harness::pointStatusName(r.status));
-        } else if (r.spec.seriesLabel() == baseSeries) {
-            std::printf("%-14s %12llu", r.spec.workload.c_str(),
-                        static_cast<unsigned long long>(r.result.cycles));
-        } else {
-            std::printf(" %12.3f", r.derived.count("normalized")
-                                       ? r.derived.at("normalized")
-                                       : 0.0);
-        }
-        if ((i + 1) % o.schemes.size() == 0)
-            std::printf("\n");
-    }
-
-    std::map<std::string, double> gms = harness::seriesGeomeans(runs);
-    std::printf("%-14s %12s", "GEOMEAN", "");
-    for (const auto &s : o.schemes)
-        if (s != baseSeries)
-            std::printf(" %12.3f", gms.count(s) ? gms.at(s) : 0.0);
-    std::printf("\nwall time: %.2fs (%d jobs, %zu traces)\n", wall,
+    exp.normalize(runs);
+    exp.printTable(runs);
+    std::printf("wall time: %.2fs (%d jobs, %zu traces)\n", wall,
                 eng.jobs(), eng.traces().size());
-    if (dropped)
-        std::printf("note: %zu of %zu points did not complete and are "
-                    "excluded from normalized columns and geomeans "
-                    "(per-point status/error in the JSON export)\n",
-                    dropped, runs.size());
 
-    if (!o.jsonPath.empty()) {
+    if (!jsonPath.empty()) {
         harness::SweepReport rep;
-        rep.name = "gexsim_sweep";
+        rep.name = name;
         rep.jobs = eng.jobs();
         rep.wallSeconds = wall;
         rep.deterministic = journal.active();
         rep.baseConfig = params;
+        rep.geomeans = exp.geomeans(runs);
         rep.runs = std::move(runs);
-        rep.geomeans = std::move(gms);
-        rep.saveJson(o.jsonPath);
-        std::printf("wrote %s\n", o.jsonPath.c_str());
+        rep.saveJson(jsonPath);
+        std::printf("wrote %s\n", jsonPath.c_str());
     }
     return 0;
 }
